@@ -1,11 +1,19 @@
 """Deterministic quadrature helpers.
 
 Everything numerical in this package that is not a closed form runs
-through the two building blocks here: a cached Gauss-Legendre rule
-mapped onto an arbitrary interval, and a refinement loop that doubles
-the node count until two successive evaluations agree. Integrands are
-smooth (products of normal CDFs and densities), so doubling converges
-fast and gives a usable error estimate for free.
+through the building blocks here: a cached Gauss-Legendre rule mapped
+onto an arbitrary interval, and a refinement loop that doubles the node
+count until two successive evaluations agree. Integrands are smooth
+(products of normal CDFs and densities), so doubling converges fast and
+gives a usable error estimate for free.
+
+Mixing over a precision V ~ Gamma(shape, rate) is one tensor rule on
+(t, u), where t = log(rate * V / shape) is the log-precision centred on
+the log of its mean and u the standard normal variable the arms share. The density of t is bounded and smooth
+for every shape, so one truncated Gauss-Legendre rule per axis serves
+all shapes; its log-density is taken relative to the mode and the
+weights are normalised to unit mass, which keeps it accurate for very
+large shapes too. Both axes double together under one error estimate.
 """
 
 from __future__ import annotations
@@ -15,9 +23,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
-from scipy.special import gammainccinv, gammaincinv
-from scipy.stats import gamma as _gamma_dist
+from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr
 
 from .exceptions import NumericError
 
@@ -25,8 +31,11 @@ from .exceptions import NumericError
 # in this package, so phi-weighted integrands are truncated there.
 GAUSS_TAIL = 8.5
 
-# Mass allowed outside a truncated gamma mixing domain.
+# Mass allowed outside a truncated gamma mixing domain, on each side.
 _GAMMA_TAIL_MASS = 1e-16
+
+# Entries of the buffer the gamma mixing rule accumulates its arm product in.
+_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=64)
@@ -47,40 +56,19 @@ def legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def refine(
-    evaluate: Callable[[int], float],
+    evaluate: Callable[[int], float | np.ndarray],
     *,
     tol: float,
     start: int = 128,
     limit: int = 8192,
     label: str = "integral",
-) -> float:
+) -> float | np.ndarray:
     """Evaluate at doubling node counts until two runs agree within tol.
 
-    ``evaluate`` maps a node count to a value; the difference between
-    successive refinements serves as the error estimate.
+    ``evaluate`` maps a node count to a value or an array of values; the
+    largest difference between successive refinements serves as the
+    error estimate.
     """
-    n = start
-    prev = evaluate(n)
-    while n < limit:
-        n *= 2
-        cur = evaluate(n)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise NumericError(
-        f"{label} did not reach tolerance {tol:g} within {limit} nodes (last={prev!r})"
-    )
-
-
-def refine_vector(
-    evaluate: Callable[[int], np.ndarray],
-    *,
-    tol: float,
-    start: int = 128,
-    limit: int = 8192,
-    label: str = "integral",
-) -> np.ndarray:
-    """Vector-valued variant of :func:`refine`; converges on the worst entry."""
     n = start
     prev = evaluate(n)
     while n < limit:
@@ -89,57 +77,74 @@ def refine_vector(
         if np.max(np.abs(cur - prev)) <= tol:
             return cur
         prev = cur
+    last = f" (last={prev!r})" if np.ndim(prev) == 0 else ""
     raise NumericError(
-        f"{label} did not reach tolerance {tol:g} within {limit} nodes"
+        f"{label} did not reach tolerance {tol:g} within {limit} nodes{last}"
     )
 
 
-def gamma_domain(shape: float, rate: float, tail_mass: float = _GAMMA_TAIL_MASS) -> tuple[float, float]:
-    """Interval carrying all but ``tail_mass`` of a Gamma(shape, rate) law."""
-    lo = gammaincinv(shape, tail_mass) / rate
-    hi = gammainccinv(shape, tail_mass) / rate
-    return float(lo), float(hi)
+def _log_gamma_domain(shape: float) -> tuple[float, float]:
+    """Interval of t = log(V / shape), V ~ Gamma(shape, 1), carrying all but
+    ``_GAMMA_TAIL_MASS`` on each side.
+
+    For small shapes the lower quantile underflows; P(V < v) is at most
+    v**shape / Gamma(shape + 1), which bounds it in closed form instead.
+    """
+    lo = float(gammaincinv(shape, _GAMMA_TAIL_MASS))
+    if lo > 0.0:
+        t_lo = math.log(lo / shape)
+    else:
+        t_lo = (math.log(_GAMMA_TAIL_MASS) + float(gammaln(shape + 1.0))) / shape - math.log(shape)
+    t_hi = math.log(float(gammainccinv(shape, _GAMMA_TAIL_MASS)) / shape)
+    return t_lo, t_hi
 
 
 def gamma_sqrt_expect(
-    fn: Callable[[np.ndarray], np.ndarray],
+    slopes: np.ndarray,
+    offsets: np.ndarray,
     shape: float,
     rate: float,
     *,
-    tol: float = 1e-9,
-    start: int = 64,
-    limit: int = 8192,
+    tol: float,
     label: str = "gamma expectation",
 ) -> float:
-    """E[fn(sqrt(V))] for V ~ Gamma(shape, rate); fn vectorized, bounded.
+    """E[prod_j Phi(slopes_j * U + offsets_j * sqrt(V))] for U ~ N(0, 1)
+    independent of V ~ Gamma(shape, rate).
 
-    Every caller mixes over the square root of a precision-like variable,
-    and substituting s = sqrt(v) removes the root-function cusp at the
-    origin, leaving an analytic integrand. The transformed density
-    behaves like s**(2*shape - 1), bounded for shape >= 0.5 where a
-    truncated Gauss-Legendre rule converges rapidly; smaller shapes are
-    delegated to adaptive quadrature on the original axis.
+    The rule at node count n takes n nodes on each axis, from 64 up to
+    2048 (building the 4096-node rule alone takes seconds). Arms that
+    share a (slope, offset) pair are evaluated once and raised to their
+    multiplicity; the product over arms accumulates in one buffer of at
+    most ``_BLOCK`` entries, filled a block of t rows at a time.
     """
-    dist = _gamma_dist(a=shape, scale=1.0 / rate)
-    if shape >= 0.5:
-        lo, hi = gamma_domain(shape, rate)
-        s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
-
-        def evaluate(n: int) -> float:
-            s, w = legendre_rule(s_lo, s_hi, n)
-            density = 2.0 * s * np.exp(dist.logpdf(s * s))
-            return float(np.sum(w * density * fn(s)))
-
-        return refine(evaluate, tol=tol, start=start, limit=limit, label=label)
-
-    value, err = _adaptive_quad(
-        lambda x: float(fn(np.asarray([math.sqrt(x)]))[0]) * dist.pdf(x),
-        0.0,
-        np.inf,
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
+    pairs, counts = np.unique(
+        np.column_stack([np.ravel(slopes), np.ravel(offsets)]), axis=0, return_counts=True
     )
-    if not math.isfinite(value) or err > max(tol * 10.0, 1e-7):
-        raise NumericError(f"{label} failed for shape={shape!r}: value={value!r}, err={err!r}")
-    return float(value)
+    t_lo, t_hi = _log_gamma_domain(shape)
+    scale = math.sqrt(shape / rate)
+
+    def evaluate(n: int) -> float:
+        t, w_t = legendre_rule(t_lo, t_hi, n)
+        w_t = w_t * np.exp(-shape * (np.expm1(t) - t))
+        u, w_u = legendre_rule(-GAUSS_TAIL, GAUSS_TAIL, n)
+        w_u = w_u * np.exp(-0.5 * u * u)
+        s = scale * np.exp(0.5 * t)
+        rows = min(n, _BLOCK // n)
+        prod = np.empty((rows, n))
+        term = np.empty_like(prod)
+        total = 0.0
+        for r in range(0, n, rows):
+            block = s[r:r + rows]
+            acc, tmp = prod[:block.size], term[:block.size]
+            for j, ((a, c), m) in enumerate(zip(pairs, counts)):
+                out = acc if j == 0 else tmp
+                np.add.outer(c * block, a * u, out=out)
+                ndtr(out, out=out)
+                if m > 1:
+                    np.power(out, m, out=out)
+                if j > 0:
+                    acc *= tmp
+            total += w_t[r:r + rows] @ acc @ w_u
+        return float(total / (w_t.sum() * w_u.sum()))
+
+    return refine(evaluate, tol=tol, start=64, limit=2048, label=label)

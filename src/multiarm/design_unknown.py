@@ -16,7 +16,7 @@ import math
 from typing import Sequence
 
 from scipy.optimize import brentq
-from scipy.stats import gamma as _gamma_dist
+from scipy.special import gammainc
 
 from .distributions import (
     EquicorrSpec,
@@ -99,9 +99,7 @@ def precision_summary(
     if threshold is not None:
         if not (threshold > 0.0):
             raise DomainError(f"threshold must be positive, got {threshold!r}")
-        prob = float(
-            _gamma_dist(a=model.alpha, scale=1.0 / model.beta).cdf(threshold)
-        )
+        prob = float(gammainc(model.alpha, model.beta * threshold))
     return PrecisionSummary(
         mean=mean,
         sd_equivalent=1.0 / math.sqrt(mean),

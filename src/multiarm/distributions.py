@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betaincinv, ndtr, ndtri, stdtr, stdtrit
 
-from ._quad import GAUSS_TAIL, gamma_sqrt_expect, legendre_rule, refine_vector
+from ._quad import GAUSS_TAIL, gamma_sqrt_expect, legendre_rule, refine
 from .exceptions import DomainError, NumericError
 
 __all__ = [
@@ -106,7 +106,7 @@ def _normal_max_cdf_batch(k: int, rho: float, xs: np.ndarray, tol: float) -> np.
         inner = ndtr((xs[:, None] - sq_rho * u[None, :]) / sq_comp)
         return (inner**k) @ weight
 
-    return refine_vector(evaluate, tol=tol, start=128, limit=8192, label="equicorrelated max CDF")
+    return refine(evaluate, tol=tol, start=128, limit=8192, label="equicorrelated max CDF")
 
 
 def equicorr_max_cdf(spec: EquicorrSpec, x: float, tol: float = 1e-10) -> float:
@@ -125,14 +125,14 @@ def equicorr_max_cdf(spec: EquicorrSpec, x: float, tol: float = 1e-10) -> float:
     if spec.k == 1:
         return float(stdtr(spec.df, x))
 
-    # Shared denominator: condition on W/df ~ Gamma(df/2, df/2) and mix.
+    # Shared denominator: with S = sqrt(W/df), W/df ~ Gamma(df/2, df/2),
+    # each component is below x when Z_j < (x S - sqrt(rho) U) / sqrt(1 - rho).
     half_df = 0.5 * spec.df
-
-    def conditional(s: np.ndarray) -> np.ndarray:
-        return _normal_max_cdf_batch(spec.k, spec.rho, x * s, tol=0.1 * tol)
-
+    sq_comp = math.sqrt(1.0 - spec.rho)
+    slopes = np.full(spec.k, -math.sqrt(spec.rho) / sq_comp)
+    offsets = np.full(spec.k, x / sq_comp)
     value = gamma_sqrt_expect(
-        conditional, half_df, half_df, tol=tol, start=64,
+        slopes, offsets, half_df, half_df, tol=tol,
         label="equicorrelated max CDF (Student)",
     )
     return min(max(value, 0.0), 1.0)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from ._quad import GAUSS_TAIL, gamma_sqrt_expect, legendre_rule, refine_vector
+from ._quad import GAUSS_TAIL, gamma_sqrt_expect, legendre_rule, refine
 from .exceptions import DomainError
 from .model import (
     ArmPrior,
@@ -133,8 +133,8 @@ def _joint_below_given_control(
         args = slopes[None, :, None] * u[None, None, :] + batch[:, :, None]
         return np.prod(ndtr(args), axis=1) @ weight
 
-    values = refine_vector(evaluate, tol=tol, start=128, limit=8192,
-                           label="joint posterior probability")
+    values = refine(evaluate, tol=tol, start=128, limit=8192,
+                    label="joint posterior probability")
     return values[0] if scalar else values
 
 
@@ -184,16 +184,9 @@ def prob_all_below(
         offsets = gap * np.sqrt(q[1:] * v[1:])
         value = float(_joint_below_given_control(slopes, offsets, tol))
     else:
-        slopes = np.sqrt(q[1:] / q[0])
-        scale = np.sqrt(q[1:])
-
-        def conditional(roots: np.ndarray) -> np.ndarray:
-            offsets = gap[None, :] * scale[None, :] * roots[:, None]
-            return _joint_below_given_control(slopes, offsets, 0.1 * tol)
-
         value = gamma_sqrt_expect(
-            conditional, precision.alpha, precision.beta,
-            tol=tol, start=64, label="joint shortfall probability",
+            np.sqrt(q[1:] / q[0]), gap * np.sqrt(q[1:]), precision.alpha, precision.beta,
+            tol=tol, label="joint shortfall probability",
         )
     return min(max(value, 0.0), 1.0)
 

@@ -5,6 +5,8 @@ multivariate normal CDF and plain Monte Carlo before being committed.
 """
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -49,11 +51,14 @@ def test_student_round_trip(df, p):
 
 def test_matrix_form_cross_check():
     # Independent oracle: scipy's matrix-form MVN CDF on the explicit
-    # equicorrelated covariance.
+    # equicorrelated covariance. Its randomised rule stops at an absolute
+    # error estimate of 1e-5 by default, and at k = 3 it then strays up to
+    # 9e-6 from the exact value, so it is asked for 1e-8.
     for k, rho, x in [(2, 0.3, 0.7), (2, 0.7, -0.4), (3, 0.5, 1.2), (3, 0.2, 0.0)]:
         cov = np.full((k, k), rho)
         np.fill_diagonal(cov, 1.0)
-        want = stats.multivariate_normal(mean=np.zeros(k), cov=cov).cdf(np.full(k, x))
+        oracle = stats.multivariate_normal(mean=np.zeros(k), cov=cov, abseps=1e-8, releps=0.0)
+        want = oracle.cdf(np.full(k, x))
         got = equicorr_max_cdf(EquicorrSpec(k=k, rho=rho), x)
         assert got == pytest.approx(want, abs=5e-6)
 
@@ -119,6 +124,38 @@ def test_student_approaches_gaussian():
         assert equicorr_max_cdf(spec_t, x) == pytest.approx(
             equicorr_max_cdf(spec_n, x), abs=1e-3
         )
+
+
+@pytest.mark.parametrize(
+    "df,want",
+    # mpmath references at 40 digits: the normal max CDF at x sqrt(V)
+    # integrated against the Gamma(df/2, df/2) density of V, whose
+    # log-density is summed at that precision so it does not cancel.
+    # In double precision the uncentred log-density cancels to about 1e-9
+    # at each node at these df.
+    [(1e7, 0.6777795174376526), (1e5, 0.677777979699968)],
+)
+def test_student_large_df_is_accurate_and_fast(df, want):
+    start = time.perf_counter()
+    got = equicorr_max_cdf(EquicorrSpec(k=3, rho=0.5, df=df), 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "df,want",
+    # mpmath references (20 digits) over the whole gamma support: with
+    # V ~ Gamma(df/2, df/2) and Y = V**(df/2), Y has the bounded density
+    # a**a exp(-a Y**(1/a)) / Gamma(a + 1), a = df/2, on [0, inf), which
+    # was integrated against the normal max CDF at x sqrt(V). At df = 0.3
+    # the mass beyond sqrt(V) = 10 is 4.7e-9, so no truncation is allowed.
+    [(0.2, 0.415084568585290966), (0.3, 0.452818448366250027)],
+)
+def test_student_small_df_matches_reference_without_warnings(df, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = equicorr_max_cdf(EquicorrSpec(k=3, rho=0.5, df=df), 1.0)
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_student_heavy_tails_widen_quantiles():

@@ -3,7 +3,9 @@
 import math
 
 import pytest
-from scipy.special import ndtr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, stdtr
 
 from multiarm import datasets
 from multiarm.exceptions import DomainError
@@ -164,6 +166,27 @@ class TestProbAllBelow:
             assert prob_all_below(case_summary, tight, c) == pytest.approx(
                 prob_all_below(case_summary, KnownPrecision(V), c), abs=1e-4
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_alpha=st.floats(math.log(0.1), math.log(1e6)),
+        log_mean=st.floats(math.log(1e-2), math.log(1e2)),
+        q0=st.floats(0.5, 500.0),
+        q1=st.floats(0.5, 500.0),
+        z=st.floats(-8.0, 8.0),
+    )
+    def test_single_arm_gamma_is_student(self, log_alpha, log_mean, q0, q1, z):
+        # With one experimental arm the shortfall under a gamma precision
+        # is a Student tail in closed form, for every shape.
+        alpha = math.exp(log_alpha)
+        beta = alpha / math.exp(log_mean)
+        pair = q0 * q1 / (q0 + q1)
+        gap = z / math.sqrt(pair * alpha / beta)
+        summary = PosteriorSummary(
+            mean=(0.0, 1.0), information=(q0, q1), effects=(1.0,), pair_information=(pair,)
+        )
+        got = prob_all_below(summary, GammaPrecision(alpha, beta), 1.0 + gap)
+        assert got == pytest.approx(stdtr(2.0 * alpha, z), abs=1e-10)
 
     def test_monotone_in_threshold(self, case_summary, gamma_posterior):
         vals = [prob_all_below(case_summary, gamma_posterior, c) for c in (8.0, 12.0, 16.0, 20.0)]
