@@ -1,19 +1,22 @@
 """Deterministic quadrature helpers.
 
-Everything numerical in this package that is not a closed form runs
-through the building blocks here: a cached Gauss-Legendre rule mapped
-onto an arbitrary interval, and a refinement loop that doubles the node
-count until two successive evaluations agree. Integrands are smooth
-(products of normal CDFs and densities), so doubling converges fast and
-gives a usable error estimate for free.
+Every probability in this package that is not a closed form is one of
+two integrals over the shared control, both evaluated here with a cached
+Gauss-Legendre rule and a refinement loop that doubles the node count,
+from 64 up to 2048, until two successive evaluations agree. Integrands
+are smooth (products of normal CDFs and densities), so doubling
+converges fast and gives a usable error estimate for free.
+``normal_expect`` is E[prod_j Phi(a_j U + c_j)] for U ~ N(0, 1), and
+``gamma_sqrt_expect`` mixes the same product over a gamma precision.
 
-Mixing over a precision V ~ Gamma(shape, rate) is one tensor rule on
-(t, u), where t = log(rate * V / shape) is the log-precision centred on
-the log of its mean and u the standard normal variable the arms share. The density of t is bounded and smooth
-for every shape, so one truncated Gauss-Legendre rule per axis serves
-all shapes; its log-density is taken relative to the mode and the
-weights are normalised to unit mass, which keeps it accurate for very
-large shapes too. Both axes double together under one error estimate.
+Mixing over V ~ Gamma(shape, rate) is one tensor rule on (t, u), where
+t = log(rate * V / shape) is the log-precision centred on the log of its
+mean and u the standard normal variable the arms share. The density of t
+is bounded and smooth for every shape, so one truncated Gauss-Legendre
+rule per axis serves all shapes; its log-density is taken relative to
+the mode and the weights are normalised to unit mass, which keeps it
+accurate for very large shapes too. Both axes double together under one
+error estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr
+from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, roots_legendre
 
 from .exceptions import NumericError
 
@@ -31,16 +34,26 @@ from .exceptions import NumericError
 # in this package, so phi-weighted integrands are truncated there.
 GAUSS_TAIL = 8.5
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_WINDOW = np.array([-GAUSS_TAIL, GAUSS_TAIL])
+
+# Slope above which the steepest factor's transition gets its own panel.
+_STEEP = 4.0
+
+# The one node schedule of every rule here: 64 nodes, doubling to 2048.
+_FIRST_NODES = 64
+_MAX_NODES = 2048
+
 # Mass allowed outside a truncated gamma mixing domain, on each side.
 _GAMMA_TAIL_MASS = 1e-16
 
-# Entries of the buffer the gamma mixing rule accumulates its arm product in.
+# Entries in the largest array of arm factors a rule builds at once.
 _BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = roots_legendre(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -59,28 +72,84 @@ def refine(
     evaluate: Callable[[int], float | np.ndarray],
     *,
     tol: float,
-    start: int = 128,
-    limit: int = 8192,
     label: str = "integral",
 ) -> float | np.ndarray:
-    """Evaluate at doubling node counts until two runs agree within tol.
+    """Evaluate at doubling node counts, from ``_FIRST_NODES`` up to
+    ``_MAX_NODES``, until two runs agree within tol.
 
     ``evaluate`` maps a node count to a value or an array of values; the
     largest difference between successive refinements serves as the
     error estimate.
     """
-    n = start
+    n = _FIRST_NODES
     prev = evaluate(n)
-    while n < limit:
+    while n < _MAX_NODES:
         n *= 2
         cur = evaluate(n)
-        if np.max(np.abs(cur - prev)) <= tol:
+        if np.abs(cur - prev).max() <= tol:
             return cur
         prev = cur
     last = f" (last={prev!r})" if np.ndim(prev) == 0 else ""
     raise NumericError(
-        f"{label} did not reach tolerance {tol:g} within {limit} nodes{last}"
+        f"{label} did not reach tolerance {tol:g} within {_MAX_NODES} nodes{last}"
     )
+
+
+def normal_expect(
+    slopes: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    tol: float,
+    label: str = "normal expectation",
+) -> float | np.ndarray:
+    """E[prod_j Phi(slopes_j * U + offsets_j)] for U ~ N(0, 1).
+
+    ``offsets`` is (k,), giving one value, or (rows, k), giving one value
+    per row; ``slopes`` broadcasts against it. The integrand is
+    log-concave, so it falls at least like exp(-(u - m)**2 / 2) away from
+    its mode m, and each row is integrated over m +- ``GAUSS_TAIL``, which
+    keeps tiny values relatively accurate. The mode is estimated by taking
+    every factor with c_j < 0 as its Gaussian tail
+    exp(-(a_j u + c_j)**2 / 2) and every other factor as 1. When some slope
+    exceeds ``_STEEP``, each row's window is cut into three panels at the
+    transition u* = -c/a of its steepest factor, u* +- GAUSS_TAIL / |a|
+    (clipped to the window), with n nodes in each panel.
+    """
+    c = np.asarray(offsets, dtype=float)
+    scalar = c.ndim == 1
+    c = c.reshape(-1, c.shape[-1])
+    a = np.empty_like(c)
+    a[...] = slopes
+    rows, k = c.shape
+    tail = a * (c < 0.0)
+    mode = (tail * c).sum(axis=1) / -(1.0 + (tail * tail).sum(axis=1))
+    # Panel p of row r maps x in [-1, 1] to u = mid[r, p] + half[r, p] * x.
+    mid, half = mode[:, None, None], GAUSS_TAIL
+    if np.abs(a).max() > _STEEP:
+        j = np.abs(a).argmax(axis=1)[:, None]
+        a_j = np.take_along_axis(a, j, axis=1)
+        u_star = -np.take_along_axis(c, j, axis=1) / a_j
+        lo, hi = mode[:, None] - GAUSS_TAIL, mode[:, None] + GAUSS_TAIL
+        inner = np.clip(u_star + _WINDOW / np.abs(a_j), lo, hi)
+        edges = np.hstack([lo, inner, hi])
+        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+    mass = half / _SQRT_2PI
+    a, c = a[:, :, None], c[:, :, None]
+
+    def evaluate(n: int) -> np.ndarray:
+        x, w = legendre_rule(-1.0, 1.0, n)
+        u = (mid + half * x).reshape(rows, -1)
+        weight = (mass * w).reshape(-1, u.shape[1]) * np.exp(-0.5 * u * u)
+        out = np.empty(rows)
+        step = max(1, _BLOCK // (k * u.shape[1]))
+        for r in range(0, rows, step):
+            s = slice(r, r + step)
+            out[s] = np.einsum("rn,rn->r", ndtr(a[s] * u[s, None] + c[s]).prod(axis=1), weight[s])
+        return out
+
+    values = refine(evaluate, tol=tol, label=label)
+    return values[0] if scalar else values
 
 
 def _log_gamma_domain(shape: float) -> tuple[float, float]:
@@ -111,8 +180,7 @@ def gamma_sqrt_expect(
     """E[prod_j Phi(slopes_j * U + offsets_j * sqrt(V))] for U ~ N(0, 1)
     independent of V ~ Gamma(shape, rate).
 
-    The rule at node count n takes n nodes on each axis, from 64 up to
-    2048 (building the 4096-node rule alone takes seconds). Arms that
+    The rule at node count n takes n nodes on each axis. Arms that
     share a (slope, offset) pair are evaluated once and raised to their
     multiplicity; the product over arms accumulates in one buffer of at
     most ``_BLOCK`` entries, filled a block of t rows at a time.
@@ -147,4 +215,4 @@ def gamma_sqrt_expect(
             total += w_t[r:r + rows] @ acc @ w_u
         return float(total / (w_t.sum() * w_u.sum()))
 
-    return refine(evaluate, tol=tol, start=64, limit=2048, label=label)
+    return refine(evaluate, tol=tol, label=label)

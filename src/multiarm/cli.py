@@ -547,8 +547,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         rows.append(
             ("prob_all_below", name, repr(float(config.delta_star)), decision.prob_all_below, None)
         )
-        for c in extra_thresholds:
-            rows.append(("prob_all_below", name, repr(float(c)), prob_all_below(summary, precision, c), None))
+        below = [(c, prob_all_below(summary, precision, c)) for c in extra_thresholds]
+        for c, p in below:
+            rows.append(("prob_all_below", name, repr(float(c)), p, None))
         for j in range(1, config.k + 1):
             rows.append(("promising", name, j, j in decision.promising, None))
         rows.append(("abandon", name, "", decision.abandon, None))
@@ -569,10 +570,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         body.append(
             f"  P(all effects below {_r(config.delta_star)}): {_r(decision.prob_all_below)}"
         )
-        for c in extra_thresholds:
-            body.append(
-                f"  P(all effects below {_r(c)}): {_r(prob_all_below(summary, precision, c))}"
-            )
+        for c, p in below:
+            body.append(f"  P(all effects below {_r(c)}): {_r(p)}")
         body.append(
             f"  P(arm j beats arm {best}): "
             + ", ".join(f"arm {j} {_r(p)}" for j, p in sorted(better.items()))

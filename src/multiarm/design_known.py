@@ -233,22 +233,27 @@ def boundary_curve(
     if grid is None:
         sd1 = 1.0 / math.sqrt(pair[0] * v)
         grid = np.linspace(thresholds[0] - 6.0 * sd1, thresholds[0], 41)
+    lo = asymptote - 30.0 * sd2
+    hi = asymptote + sd2
     points = []
     for d1 in grid:
         d1 = float(d1)
         if math.isnan(d1):
             raise DomainError("grid values must not be NaN")
-        lo = asymptote - 30.0 * sd2
-        hi = asymptote + sd2
-        f_lo = shortfall(d1, lo) - config.zeta
-        f_hi = shortfall(d1, hi) - config.zeta
+        ends = (config.delta_star - np.array([[d1, lo], [d1, hi]])) * scale
+        f_lo, f_hi = _joint_below_given_control(slopes, ends, tol) - config.zeta
         if f_lo < 0.0:
             # Even a hopeless second arm cannot reach the abandonment
             # probability here; the boundary does not extend this far.
             continue
         if f_hi > 0.0:
             raise NumericError(f"abandonment boundary bracket failed at d1={d1!r}")
-        root = brentq(lambda d2: shortfall(d1, d2) - config.zeta, lo, hi, xtol=1e-9)
+        # brentq starts by evaluating both ends, which are known already.
+        known = {lo: f_lo, hi: f_hi}
+        root = brentq(
+            lambda d2: known[d2] if d2 in known else shortfall(d1, d2) - config.zeta,
+            lo, hi, xtol=1e-9,
+        )
         points.append((d1, float(root)))
     return BoundaryCurve(
         delta_star=config.delta_star,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betaincinv, ndtr, ndtri, stdtr, stdtrit
 
-from ._quad import GAUSS_TAIL, gamma_sqrt_expect, legendre_rule, refine
+from ._quad import gamma_sqrt_expect, normal_expect
 from .exceptions import DomainError, NumericError
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "equicorr_max_cdf",
     "equicorr_max_quantile",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class EquicorrSpec:
@@ -90,25 +87,6 @@ def beta_quantile(a: float, b: float, p: float) -> float:
     return float(betaincinv(a, b, p))
 
 
-def _normal_max_cdf_batch(k: int, rho: float, xs: np.ndarray, tol: float) -> np.ndarray:
-    """P(max of k equicorrelated normals <= x) for a vector of thresholds."""
-    xs = np.asarray(xs, dtype=float)
-    if k == 1:
-        return ndtr(xs)
-    if rho == 0.0:
-        return ndtr(xs) ** k
-    sq_rho = math.sqrt(rho)
-    sq_comp = math.sqrt(1.0 - rho)
-
-    def evaluate(n: int) -> np.ndarray:
-        u, w = legendre_rule(-GAUSS_TAIL, GAUSS_TAIL, n)
-        weight = w * np.exp(-0.5 * u * u) / _SQRT_2PI
-        inner = ndtr((xs[:, None] - sq_rho * u[None, :]) / sq_comp)
-        return (inner**k) @ weight
-
-    return refine(evaluate, tol=tol, start=128, limit=8192, label="equicorrelated max CDF")
-
-
 def equicorr_max_cdf(spec: EquicorrSpec, x: float, tol: float = 1e-10) -> float:
     """CDF of the largest of the k statistics at threshold ``x``."""
     x = float(x)
@@ -118,24 +96,24 @@ def equicorr_max_cdf(spec: EquicorrSpec, x: float, tol: float = 1e-10) -> float:
         return 1.0 if x > 0 else 0.0
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if math.isinf(spec.df):
-        if spec.k == 1:
-            return float(ndtr(x))
-        return float(_normal_max_cdf_batch(spec.k, spec.rho, np.asarray([x]), tol)[0])
     if spec.k == 1:
-        return float(stdtr(spec.df, x))
+        return float(ndtr(x) if math.isinf(spec.df) else stdtr(spec.df, x))
 
-    # Shared denominator: with S = sqrt(W/df), W/df ~ Gamma(df/2, df/2),
-    # each component is below x when Z_j < (x S - sqrt(rho) U) / sqrt(1 - rho).
-    half_df = 0.5 * spec.df
+    # Given U, each component is below x S when
+    # Z_j < (x S - sqrt(rho) U) / sqrt(1 - rho), where S = 1 in the normal
+    # case and S = sqrt(W/df), W/df ~ Gamma(df/2, df/2), in the Student case.
     sq_comp = math.sqrt(1.0 - spec.rho)
     slopes = np.full(spec.k, -math.sqrt(spec.rho) / sq_comp)
     offsets = np.full(spec.k, x / sq_comp)
-    value = gamma_sqrt_expect(
-        slopes, offsets, half_df, half_df, tol=tol,
-        label="equicorrelated max CDF (Student)",
-    )
-    return min(max(value, 0.0), 1.0)
+    if math.isinf(spec.df):
+        value = normal_expect(slopes, offsets, tol=tol, label="equicorrelated max CDF")
+    else:
+        half_df = 0.5 * spec.df
+        value = gamma_sqrt_expect(
+            slopes, offsets, half_df, half_df, tol=tol,
+            label="equicorrelated max CDF (Student)",
+        )
+    return min(max(float(value), 0.0), 1.0)
 
 
 def equicorr_max_quantile(spec: EquicorrSpec, p: float, tol: float = 1e-10) -> float:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
-from ._quad import GAUSS_TAIL, legendre_rule, refine
+from ._quad import normal_expect
 from .distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile
 from .exceptions import (
     DataInconsistencyError,
@@ -39,9 +38,6 @@ __all__ = [
     "dunnett_pvalue",
     "per_pair_frequentist",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class DunnettConfig:
@@ -227,9 +223,9 @@ def dunnett_pvalue(
     mean; its contrast against control is scaled by that arm's own
     standard deviation. Summing over which arm wins gives one term per
     arm: conditional on the winner's standardised mean, the other arms
-    fall below it independently and the control falls far enough behind
-    with a probability small enough to need log space. Defaults to the
-    arms' sample standard deviations.
+    fall below it independently and the control falls far enough behind.
+    The k terms go to the shared-control kernel as one batch. Defaults to
+    the arms' sample standard deviations.
     """
     z_star = float(z_star)
     if math.isnan(z_star):
@@ -245,34 +241,17 @@ def dunnett_pvalue(
     if any(n < 1 for n in data.n):
         raise DomainError("all arms need at least one observation")
 
-    n = data.n
-    total = 0.0
-    for j in range(1, k + 1):
-        # u is arm j's standardised sample mean under the null.
-        others = np.array(
-            [
-                (sds[j] / sds[i]) * math.sqrt(n[i] / n[j])
-                for i in range(1, k + 1)
-                if i != j
-            ]
-        )
-        a = (sds[j] / sds[0]) * math.sqrt(n[0] / n[j])
-        b = z_star * (sds[j] / sds[0]) * math.sqrt((n[0] + n[j]) / n[j])
-        peak = a * b / (1.0 + a * a)
-        hi = max(GAUSS_TAIL, peak + 12.0)
-
-        def evaluate(m: int, others: np.ndarray = others, a: float = a, b: float = b, hi: float = hi) -> float:
-            u, w = legendre_rule(-GAUSS_TAIL, hi, m)
-            log_control = log_ndtr(a * u - b)
-            winner = (
-                np.prod(ndtr(others[:, None] * u[None, :]), axis=0)
-                if others.size
-                else np.ones_like(u)
-            )
-            integrand = winner * np.exp(log_control - 0.5 * u * u) / _SQRT_2PI
-            return float(np.sum(w * integrand))
-
-        total += refine(evaluate, tol=1e-13, start=256, limit=16384, label="selection p-value")
+    # Row j is arm j's term, over u, arm j's standardised sample mean under
+    # the null. The other arms fall below it with probability
+    # Phi(r_ji * u), r_ji = (s_j / s_i) sqrt(n_i / n_j); the control falls
+    # behind with Phi(a_j * u - b_j), put on the diagonal.
+    s = np.asarray(sds)
+    n = np.asarray(data.n, dtype=float)
+    ratio = (s[1:, None] / s[None, :]) * np.sqrt(n[None, :] / n[1:, None])
+    slopes = ratio[:, 1:].copy()
+    np.fill_diagonal(slopes, ratio[:, 0])
+    offsets = np.diag(-z_star * (s[1:] / s[0]) * np.sqrt((n[0] + n[1:]) / n[1:]))
+    total = float(np.sum(normal_expect(slopes, offsets, tol=1e-13, label="selection p-value")))
     return min(max(total, 0.0), 1.0)
 
 

@@ -27,7 +27,7 @@ from .model import (
     PosteriorSummary,
     PrecisionModel,
 )
-from .posterior import _all_below_known_batch
+from .posterior import _joint_below_given_control
 
 __all__ = [
     "McConfig",
@@ -263,10 +263,16 @@ def design_guarantee(
     n_violations = 0
     min_below = math.inf
     worst = tuple(float(x) for x in points[0])
+    slopes = np.sqrt(q1[1:] / q1[0])
+    scale = np.sqrt(q1[1:] * v)
+
+    def all_below(block: np.ndarray, threshold: float) -> np.ndarray:
+        return _joint_below_given_control(slopes, (threshold - block) * scale, 1e-9)
+
     for idx in range(0, points.shape[0], 2048):
         block = points[idx : idx + 2048]
         if weak:
-            any_sup = 1.0 - _all_below_known_batch(q1, block, v, 0.0)
+            any_sup = 1.0 - all_below(block, 0.0)
             keep = any_sup < config.eta
             block = block[keep]
             if block.size == 0:
@@ -275,7 +281,7 @@ def design_guarantee(
             block = block[np.all(block < border[None, :], axis=1)]
             if block.size == 0:
                 continue
-        below = _all_below_known_batch(q1, block, v, config.delta_star)
+        below = all_below(block, config.delta_star)
         n_checked += block.shape[0]
         n_violations += int(np.sum(below < config.zeta))
         i_min = int(np.argmin(below))

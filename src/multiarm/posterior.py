@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from ._quad import GAUSS_TAIL, gamma_sqrt_expect, legendre_rule, refine
+from ._quad import gamma_sqrt_expect, normal_expect
 from .exceptions import DomainError
 from .model import (
     ArmPrior,
@@ -46,9 +46,6 @@ __all__ = [
     "prob_pairwise_better",
     "decide",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 def update_posterior(priors: Sequence[ArmPrior], data: TrialData) -> PosteriorSummary:
     """Combine arm priors with summary data into a posterior summary."""
@@ -116,42 +113,10 @@ def _joint_below_given_control(
     slopes: np.ndarray,
     offsets: np.ndarray,
     tol: float,
-) -> np.ndarray:
-    """Integrate prod_j Phi(slope_j * u + offset_j) against phi(u).
-
-    ``offsets`` may be (k,) or batched (..., k); the result matches the
-    leading shape. This is the workhorse behind every joint posterior
-    probability with a shared control.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    scalar = offsets.ndim == 1
-    batch = offsets[None, :] if scalar else offsets
-
-    def evaluate(n: int) -> np.ndarray:
-        u, w = legendre_rule(-GAUSS_TAIL, GAUSS_TAIL, n)
-        weight = w * np.exp(-0.5 * u * u) / _SQRT_2PI
-        args = slopes[None, :, None] * u[None, None, :] + batch[:, :, None]
-        return np.prod(ndtr(args), axis=1) @ weight
-
-    values = refine(evaluate, tol=tol, start=128, limit=8192,
-                    label="joint posterior probability")
-    return values[0] if scalar else values
-
-
-def _all_below_known_batch(
-    information: Sequence[float],
-    effects: np.ndarray,
-    v: float,
-    threshold: float,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Joint shortfall probability for many effect vectors at once,
-    common known precision. Used by the Monte Carlo design audit."""
-    q = np.asarray(information, dtype=float)
-    effects = np.atleast_2d(np.asarray(effects, dtype=float))
-    slopes = np.sqrt(q[1:] / q[0])
-    offsets = (threshold - effects) * np.sqrt(q[1:] * v)[None, :]
-    return _joint_below_given_control(slopes, offsets, tol)
+) -> float | np.ndarray:
+    """Joint shortfall probability for one row of offsets or a batch; traced
+    benchmark runs report it as the ``posterior.kernel`` layer."""
+    return normal_expect(slopes, offsets, tol=tol, label="joint shortfall probability")
 
 
 def prob_all_below(
@@ -170,24 +135,20 @@ def prob_all_below(
     if math.isinf(threshold):
         return 1.0 if threshold > 0 else 0.0
 
-    q = np.asarray(summary.information, dtype=float)
-    effects = np.asarray(summary.effects, dtype=float)
-    gap = threshold - effects
-
-    if isinstance(precision, KnownPrecision):
-        slopes = np.sqrt(q[1:] / q[0])
-        offsets = gap * np.sqrt(q[1:] * precision.v)
-        value = float(_joint_below_given_control(slopes, offsets, tol))
-    elif isinstance(precision, PerArmPrecision):
-        v = np.asarray(precision.v, dtype=float)
-        slopes = np.sqrt(q[1:] * v[1:] / (q[0] * v[0]))
-        offsets = gap * np.sqrt(q[1:] * v[1:])
-        value = float(_joint_below_given_control(slopes, offsets, tol))
-    else:
+    # Arm j's effect is below the threshold when, given the standardised
+    # control mean U, its own standardised mean falls below a_j U + c_j.
+    # A gamma precision scales every c_j by sqrt(V).
+    gamma = isinstance(precision, GammaPrecision)
+    qv = np.asarray(summary.information, dtype=float) * (1.0 if gamma else np.asarray(precision.v))
+    slopes = np.sqrt(qv[1:] / qv[0])
+    offsets = (threshold - np.asarray(summary.effects)) * np.sqrt(qv[1:])
+    if gamma:
         value = gamma_sqrt_expect(
-            np.sqrt(q[1:] / q[0]), gap * np.sqrt(q[1:]), precision.alpha, precision.beta,
+            slopes, offsets, precision.alpha, precision.beta,
             tol=tol, label="joint shortfall probability",
         )
+    else:
+        value = float(_joint_below_given_control(slopes, offsets, tol))
     return min(max(value, 0.0), 1.0)
 
 

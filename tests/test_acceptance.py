@@ -43,9 +43,9 @@ from multiarm.model import (
     PrecisionPrior,
     TrialData,
 )
+from multiarm._quad import normal_expect
 from multiarm.montecarlo import McConfig, design_guarantee, max_prob, posterior_probs
 from multiarm.posterior import (
-    _joint_below_given_control,
     prob_all_below,
     prob_pairwise_better,
     prob_superior,
@@ -361,7 +361,7 @@ def _equicorr_below(mu, rho, t):
         return float(np.prod(ndtr(t - mu)))
     slopes = np.full(mu.size, -math.sqrt(rho / (1.0 - rho)))
     offsets = (t - mu) / math.sqrt(1.0 - rho)
-    return float(_joint_below_given_control(slopes, offsets, tol=1e-11))
+    return float(normal_expect(slopes, offsets, tol=1e-11))
 
 
 def _random_posterior_instances(count):

@@ -191,3 +191,17 @@ def test_scalar_quantiles_match_scipy():
         normal_quantile(1.0)
     with pytest.raises(DomainError):
         t_quantile(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("rho", [0.9999, 0.999999])
+def test_extreme_correlation_against_mpmath(rho, mp_normal_expect):
+    # The steep factor's transition gets its own panel, so correlations
+    # near 1 need no more nodes than moderate ones.
+    spec = EquicorrSpec(3, rho)
+    start = time.perf_counter()
+    value = equicorr_max_cdf(spec, 1.0)
+    elapsed = time.perf_counter() - start
+    sq_comp = math.sqrt(1.0 - rho)
+    want = mp_normal_expect([-math.sqrt(rho) / sq_comp] * 3, [1.0 / sq_comp] * 3)
+    assert value == pytest.approx(want, abs=1e-12)
+    assert elapsed < 1.0

@@ -229,6 +229,22 @@ class TestPValue:
             total += float(np.sum(w * norm_pdf(u) * inner * ndtr(u * a_j - b_j)))
         assert p == pytest.approx(total, rel=1e-8)
 
+    @pytest.mark.parametrize("z_star", [15.0, 25.0])
+    def test_tail_against_mpmath(self, case_data, mp_normal_expect, z_star):
+        # Far tails (about 3e-48 and 5e-130) keep their relative accuracy:
+        # each arm's term, integrated by mpmath, over the winner's
+        # standardised mean u with the other arms below it and the control
+        # behind it.
+        sds = [math.sqrt(case_data.sample_variance(j)) for j in range(5)]
+        n = case_data.n
+        want = 0.0
+        for j in range(1, 5):
+            slopes = [(sds[j] / sds[i]) * math.sqrt(n[i] / n[j]) for i in range(1, 5) if i != j]
+            slopes.append((sds[j] / sds[0]) * math.sqrt(n[0] / n[j]))
+            b_j = z_star * (sds[j] / sds[0]) * math.sqrt((n[0] + n[j]) / n[j])
+            want += mp_normal_expect(slopes, [0.0, 0.0, 0.0, -b_j])
+        assert dunnett_pvalue(case_data, z_star=z_star) == pytest.approx(want, rel=1e-10)
+
     def test_decreasing_in_z_star(self, case_data):
         grid = [2.0, 3.0, 4.0, 5.0, 6.0]
         ps = [dunnett_pvalue(case_data, z_star=z) for z in grid]

@@ -1,0 +1,132 @@
+"""Golden-output gate for the command line.
+
+Every subcommand runs in process on both bundled configurations, with
+each ``--criterion`` where it applies and ``analyze`` with and without a
+seed. Reports must match the stored files byte for byte; in the CSV
+files, text cells must be equal and numeric cells agree within
+``math.isclose(rel_tol=1e-12, abs_tol=1e-15)``. Exit codes and error
+messages of the combinations that fail by design are stored too.
+
+Regenerate the stored outputs (only when a change of output is
+intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from multiarm.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {}
+    for cfg in ("case_study", "two_treatment"):
+        path = f"configs/{cfg}.json"
+        for criterion in ("1", "2"):
+            for command in ("design-known", "design-unknown", "boundary"):
+                cases[f"{cfg}-{command}-c{criterion}"] = [
+                    command, "--config", path, "--criterion", criterion,
+                ]
+        cases[f"{cfg}-analyze"] = ["analyze", "--config", path]
+        cases[f"{cfg}-analyze-seed11"] = ["analyze", "--config", path, "--seed", "11"]
+        cases[f"{cfg}-dunnett"] = ["dunnett", "--config", path]
+    cases["reproduce-tables"] = ["reproduce-tables"]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str], out: Path) -> tuple[int, str, dict[str, str]]:
+    """Exit code, stderr and the written files of one CLI run."""
+    args = [a if not a.startswith("configs/") else str(ROOT / a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*args, "--out", str(out)])
+    files = {}
+    if out.is_dir():
+        files = {p.name: p.read_text(encoding="utf-8") for p in sorted(out.iterdir())}
+    return code, err.getvalue(), files
+
+
+def _cell_close(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        a, b = float(got), float(want)
+    except ValueError:
+        return False
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _csv_mismatches(got: str, want: str) -> list[str]:
+    rows_got = list(csv.reader(io.StringIO(got)))
+    rows_want = list(csv.reader(io.StringIO(want)))
+    if len(rows_got) != len(rows_want):
+        return [f"{len(rows_got)} rows, expected {len(rows_want)}"]
+    bad = []
+    for i, (rg, rw) in enumerate(zip(rows_got, rows_want)):
+        if len(rg) != len(rw):
+            bad.append(f"row {i}: {rg} != {rw}")
+            continue
+        bad.extend(
+            f"row {i} col {j}: {g} != {w}"
+            for j, (g, w) in enumerate(zip(rg, rw))
+            if not _cell_close(g, w)
+        )
+    return bad
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def test_manifest_covers_cases(manifest):
+    assert sorted(manifest) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_matches_golden(name, manifest, tmp_path):
+    want = manifest[name]
+    code, err, files = run_case(CASES[name], tmp_path / "out")
+    assert code == want["exit"]
+    assert err == want["stderr"]
+    assert sorted(files) == want["files"]
+    for fname, text in files.items():
+        stored = (GOLDEN / name / fname).read_text(encoding="utf-8")
+        if fname.endswith(".csv"):
+            assert _csv_mismatches(text, stored) == [], fname
+        else:
+            assert text == stored, fname
+
+
+def regenerate() -> None:
+    if GOLDEN.exists():
+        shutil.rmtree(GOLDEN)
+    GOLDEN.mkdir(parents=True)
+    manifest = {}
+    for name, argv in CASES.items():
+        code, err, files = run_case(argv, GOLDEN / name)
+        manifest[name] = {"argv": argv, "exit": code, "stderr": err, "files": sorted(files)}
+        print(f"{name}: exit {code}, {len(files)} files", file=sys.stderr)
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
