@@ -8,12 +8,20 @@ traces the stop/go geometry of a two-treatment design, and
 ``reproduce-tables`` regenerates the reference designs bundled in
 :mod:`multiarm.datasets`.
 
+Each subcommand takes only the flags it reads. All take ``--out`` and
+``--format``; ``design-known``, ``design-unknown`` and ``boundary`` add
+``--config`` and ``--criterion``, ``analyze`` adds ``--config`` and
+``--seed``, ``dunnett`` adds ``--config``, and ``reproduce-tables`` adds
+nothing.
+
 All numeric inputs arrive through a single JSON configuration file (the
 schema is documented in the README and enforced here; unknown keys are
-rejected). Reports are plain text rounded to four decimal places and
-echo the fully resolved configuration; CSV outputs carry full-precision
-``repr`` values so repeated runs with the same config and seed are
-byte-identical.
+rejected). A subcommand computes its result without touching the file
+system; :func:`main` alone loads the configuration, writes the outputs and
+maps errors to exit codes, so a command that fails writes nothing.
+Reports are plain text rounded to four decimal places and echo the fully
+resolved configuration; CSV outputs carry full-precision ``repr`` values
+so repeated runs with the same config and seed are byte-identical.
 
 Exit status: 0 on success, 2 on any configuration or validation error,
 3 when a computation fails numerically or the requested design is
@@ -24,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -70,106 +80,68 @@ from .model import (
 from .montecarlo import McConfig, posterior_probs
 from .posterior import decide, prob_all_below, prob_pairwise_better, update_posterior
 
-_PRIOR_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mean"],
-    "properties": {
-        "mean": {"type": "number"},
-        "information": {"type": "number", "minimum": 0},
-    },
-}
+
+def _object(required: Sequence[str] = (), **properties: dict) -> dict:
+    """Schema of a JSON object; keys it does not name are rejected."""
+    schema: dict[str, Any] = {"type": "object", "additionalProperties": False}
+    if required:
+        schema["required"] = list(required)
+    schema["properties"] = properties
+    return schema
+
+
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
 
 # Structural validation only; value constraints live in the dataclasses
 # so the library and the CLI cannot drift apart.
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "design": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["k", "delta_star", "eta", "zeta", "priors"],
-            "properties": {
-                "k": {"type": "integer", "minimum": 1},
-                "delta_star": {"type": "number"},
-                "eta": {"type": "number"},
-                "zeta": {"type": "number"},
-                "priors": {"type": "array", "minItems": 2, "items": _PRIOR_SCHEMA},
-                "v": {"type": "number"},
-                "sd": {"type": "number"},
-                "allocation": {"type": "number"},
-            },
+_SCHEMA = _object(
+    design=_object(
+        ("k", "delta_star", "eta", "zeta", "priors"),
+        k={"type": "integer", "minimum": 1},
+        delta_star=_NUMBER,
+        eta=_NUMBER,
+        zeta=_NUMBER,
+        priors={
+            "type": "array",
+            "minItems": 2,
+            "items": _object(("mean",), mean=_NUMBER, information={"type": "number", "minimum": 0}),
         },
-        "precision_prior": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["alpha", "beta"],
-            "properties": {
-                "alpha": {"type": "number"},
-                "beta": {"type": "number"},
-                "assurance": {"type": "number"},
-            },
-        },
-        "data": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "mean"],
-            "properties": {
-                "n": {"type": "array", "minItems": 2, "items": {"type": "integer", "minimum": 0}},
-                "mean": {"type": "array", "items": {"type": "number"}},
-                "ss": {"type": "array", "items": {"type": "number"}},
-                "sd": {"type": "array", "items": {"type": "number"}},
-                "se": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "dunnett": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["alpha", "power", "sigma"],
-            "properties": {
-                "alpha": {"type": "number"},
-                "power": {"type": "number"},
-                "sigma": {"type": "number"},
-                "allocation": {
-                    "oneOf": [
-                        {"type": "string", "enum": ["equal", "sqrt_k"]},
-                        {"type": "number"},
-                    ]
-                },
-                "z_star": {"type": "number"},
-            },
-        },
-        "analysis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "thresholds": {"type": "array", "items": {"type": "number"}},
-                "sd_threshold": {"type": "number"},
-            },
-        },
-        "boundary": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["start", "stop", "points"],
-            "properties": {
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "monte_carlo": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["seed"],
-            "properties": {
-                "seed": {"type": "integer", "minimum": 0},
-                "n_draws": {"type": "integer", "minimum": 2},
-                "antithetic": {"type": "boolean"},
-            },
-        },
-    },
-}
+        v=_NUMBER,
+        sd=_NUMBER,
+        allocation=_NUMBER,
+    ),
+    precision_prior=_object(("alpha", "beta"), alpha=_NUMBER, beta=_NUMBER, assurance=_NUMBER),
+    data=_object(
+        ("n", "mean"),
+        n={"type": "array", "minItems": 2, "items": {"type": "integer", "minimum": 0}},
+        mean=_NUMBERS,
+        ss=_NUMBERS,
+        sd=_NUMBERS,
+        se=_NUMBERS,
+    ),
+    dunnett=_object(
+        ("alpha", "power", "sigma"),
+        alpha=_NUMBER,
+        power=_NUMBER,
+        sigma=_NUMBER,
+        allocation={"oneOf": [{"type": "string", "enum": ["equal", "sqrt_k"]}, _NUMBER]},
+        z_star=_NUMBER,
+    ),
+    analysis=_object(thresholds=_NUMBERS, sd_threshold=_NUMBER),
+    boundary=_object(
+        ("start", "stop", "points"),
+        start=_NUMBER,
+        stop=_NUMBER,
+        points={"type": "integer", "minimum": 2},
+    ),
+    monte_carlo=_object(
+        ("seed",),
+        seed={"type": "integer", "minimum": 0},
+        n_draws={"type": "integer", "minimum": 2},
+        antithetic={"type": "boolean"},
+    ),
+)
 
 
 def load_config(path: Path) -> dict:
@@ -271,12 +243,6 @@ def _resolved_data(data: TrialData) -> dict:
     return {"n": list(data.n), "mean": list(data.mean), "ss": list(data.ss)}
 
 
-def _resolved_mc(mc: McConfig | None) -> dict | None:
-    if mc is None:
-        return None
-    return {"seed": mc.seed, "n_draws": mc.n_draws, "antithetic": mc.antithetic}
-
-
 def _fmt_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -295,117 +261,82 @@ def _rseq(values: Sequence[float]) -> str:
     return ", ".join(_r(x) for x in values)
 
 
-class _Emitter:
-    """Writes the per-command CSV and report files honouring --format."""
+@dataclass(frozen=True)
+class _Output:
+    """What a subcommand computed: the report's title, resolved-config echo
+    (without the command name) and body lines, and the CSV tables as
+    ``{file name: rows in file order}``."""
 
-    def __init__(self, outdir: Path, fmt: str) -> None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        self.outdir = outdir
-        self.fmt = fmt
-        self.written: list[Path] = []
+    title: str
+    resolved: dict
+    lines: list[str]
+    tables: dict[str, list[Sequence[Any]]]
 
-    def csv(
-        self,
-        name: str,
-        header: Sequence[str],
-        rows: Sequence[Sequence[Any]],
-        preamble: Sequence[str] = (),
-    ) -> None:
-        if self.fmt == "report":
-            return
-        path = self.outdir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in preamble:
-                fh.write(line + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(cell) for cell in row])
-        self.written.append(path)
 
-    def report(self, name: str, title: str, resolved: dict, body: Sequence[str]) -> None:
-        if self.fmt == "csv":
-            return
-        path = self.outdir / name
-        lines = [title, "=" * len(title), "", "resolved configuration:"]
-        lines.extend(
-            "  " + line
-            for line in json.dumps(resolved, indent=2, sort_keys=True).splitlines()
-        )
-        lines.append("")
-        lines.extend(body)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        self.written.append(path)
+_ARM_HEADER = ("quantity", "arm", "value")
 
-    def announce(self) -> None:
-        for path in self.written:
-            print(f"wrote {path}")
+
+def _arms(quantity: str, values: Sequence, first: int = 0, variant: str | None = None) -> list:
+    """One CSV row per arm, numbered from ``first``: (quantity, arm, value),
+    or (quantity, variant, arm, value, se) with no se when ``variant`` is
+    given."""
+    if variant is None:
+        return [(quantity, j, x) for j, x in enumerate(values, first)]
+    return [(quantity, variant, j, x, None) for j, x in enumerate(values, first)]
+
+
+def _sizing(criterion: Criterion, design: DesignResult, info: str, unit: str, *,
+            rows: Sequence[tuple] = (), lines: Sequence[str] = ()) -> tuple[list, list[str]]:
+    """CSV rows and report lines both sizing commands share; ``rows`` go
+    after the total and ``lines`` after the criterion."""
+    out_rows = [
+        ("criterion", "", criterion.value),
+        ("information_target", "", design.information_target),
+        ("achieved_information", "", design.achieved_information),
+        ("total", "", design.total),
+        *rows,
+        *_arms("n", design.n),
+    ]
+    out_lines = [
+        f"criterion: {criterion.value} ({criterion.name})",
+        *lines,
+        f"{info} target ({unit}): {_r(design.information_target)}",
+        f"achieved {info} ({unit}): {_r(design.achieved_information)}",
+    ]
+    if design.fractional_n is not None:
+        out_rows += _arms("fractional_n", design.fractional_n)
+        out_lines.append(f"fractional arm sizes: {_rseq(design.fractional_n)}")
+    out_lines += [f"arm sizes, control first: {design.n}", f"total sample size: {design.total}"]
+    return out_rows, out_lines
 
 
 def _pair_sigmas(config: DesignConfig, design: DesignResult) -> tuple[float, ...]:
     """Posterior sd of each effect estimate once the design is enrolled."""
     v = config.known_v()
-    q0 = [p.information for p in config.priors]
-    q1 = [q + n for q, n in zip(q0, design.n)]
-    out = []
-    for j in range(1, config.k + 1):
-        pair = q1[j] * q1[0] / (q1[j] + q1[0])
-        out.append(1.0 / math.sqrt(pair * v))
-    return tuple(out)
+    q = [p.information + n for p, n in zip(config.priors, design.n)]
+    return tuple(1.0 / math.sqrt(q[j] * q[0] / (q[j] + q[0]) * v) for j in range(1, config.k + 1))
 
 
-def _cmd_design_known(args: argparse.Namespace) -> int:
-    doc = load_config(Path(args.config))
+def _design_known(doc: dict, args: argparse.Namespace) -> _Output:
     config = _design_from(_require(doc, "design", "design-known"), need_v=True)
     criterion = Criterion(args.criterion)
     design = optimal_design(config, criterion)
-    sigmas = _pair_sigmas(config, design)
     z_eta = normal_quantile(config.eta)
-    thresholds = tuple(z_eta * s for s in sigmas)
+    thresholds = tuple(z_eta * s for s in _pair_sigmas(config, design))
 
-    rows: list[tuple[Any, ...]] = [
-        ("criterion", "", criterion.value),
-        ("information_target", "", design.information_target),
-        ("achieved_information", "", design.achieved_information),
-        ("total", "", design.total),
-    ]
-    rows.extend(("n", j, design.n[j]) for j in range(config.k + 1))
-    if design.fractional_n is not None:
-        rows.extend(
-            ("fractional_n", j, design.fractional_n[j]) for j in range(config.k + 1)
-        )
-    rows.extend(
-        ("posterior_information", j, config.priors[j].information + design.n[j])
-        for j in range(config.k + 1)
+    rows, lines = _sizing(criterion, design, "information", "standardised")
+    rows += _arms(
+        "posterior_information", [p.information + n for p, n in zip(config.priors, design.n)]
     )
-    rows.extend(("promising_threshold", j, thresholds[j - 1]) for j in range(1, config.k + 1))
-
-    resolved = {
-        "command": "design-known",
-        "criterion": criterion.value,
-        "design": _resolved_design(config),
-    }
-    body = [
-        f"criterion: {criterion.value} ({criterion.name})",
-        f"information target (standardised): {_r(design.information_target)}",
-        f"achieved information (standardised): {_r(design.achieved_information)}",
-        f"arm sizes, control first: {design.n}",
-        f"total sample size: {design.total}",
-    ]
-    if design.fractional_n is not None:
-        body.insert(3, f"fractional arm sizes: {_rseq(design.fractional_n)}")
-    body.append(f"promising thresholds per treatment: {_rseq(thresholds)}")
-
-    emitter = _Emitter(Path(args.out), args.format)
-    emitter.csv("design_known.csv", ("quantity", "arm", "value"), rows)
-    emitter.report("design_known_report.txt", "trial design, known precision", resolved, body)
-    emitter.announce()
-    return 0
+    rows += _arms("promising_threshold", thresholds, 1)
+    lines.append(f"promising thresholds per treatment: {_rseq(thresholds)}")
+    resolved = {"criterion": criterion.value, "design": _resolved_design(config)}
+    return _Output(
+        "trial design, known precision", resolved, lines, {"design_known.csv": [_ARM_HEADER, *rows]}
+    )
 
 
-def _cmd_design_unknown(args: argparse.Namespace) -> int:
-    doc = load_config(Path(args.config))
+def _design_unknown(doc: dict, args: argparse.Namespace) -> _Output:
     config = _design_from(_require(doc, "design", "design-unknown"), need_v=False)
     prior = _precision_prior_from(
         _require(doc, "precision_prior", "design-unknown"), need_assurance=True
@@ -417,21 +348,14 @@ def _cmd_design_unknown(args: argparse.Namespace) -> int:
     except UnsupportedConfigurationError:
         met = None
 
-    rows: list[tuple[Any, ...]] = [
-        ("criterion", "", criterion.value),
-        ("information_target", "", design.information_target),
-        ("achieved_information", "", design.achieved_information),
-        ("total", "", design.total),
-        ("criterion_met", "", met),
-    ]
-    rows.extend(("n", j, design.n[j]) for j in range(config.k + 1))
-    if design.fractional_n is not None:
-        rows.extend(
-            ("fractional_n", j, design.fractional_n[j]) for j in range(config.k + 1)
-        )
-
+    rows, lines = _sizing(criterion, design, "pairwise information", "patients",
+                          rows=[("criterion_met", "", met)],
+                          lines=[f"assurance level: {_r(prior.assurance)}"])
+    if met is None:
+        lines.append("direct criterion check: skipped (unequal treatment priors)")
+    else:
+        lines.append(f"direct criterion check: {'met' if met else 'NOT met'}")
     resolved = {
-        "command": "design-unknown",
         "criterion": criterion.value,
         "design": _resolved_design(config),
         "precision_prior": {
@@ -440,34 +364,18 @@ def _cmd_design_unknown(args: argparse.Namespace) -> int:
             "assurance": prior.assurance,
         },
     }
-    body = [
-        f"criterion: {criterion.value} ({criterion.name})",
-        f"assurance level: {_r(prior.assurance)}",
-        f"pairwise information target (patients): {_r(design.information_target)}",
-        f"achieved pairwise information (patients): {_r(design.achieved_information)}",
-        f"arm sizes, control first: {design.n}",
-        f"total sample size: {design.total}",
-    ]
-    if design.fractional_n is not None:
-        body.insert(4, f"fractional arm sizes: {_rseq(design.fractional_n)}")
-    if met is None:
-        body.append("direct criterion check: skipped (unequal treatment priors)")
-    else:
-        body.append(f"direct criterion check: {'met' if met else 'NOT met'}")
-
-    emitter = _Emitter(Path(args.out), args.format)
-    emitter.csv("design_unknown.csv", ("quantity", "arm", "value"), rows)
-    emitter.report(
-        "design_unknown_report.txt", "trial design, uncertain precision", resolved, body
+    return _Output(
+        "trial design, uncertain precision",
+        resolved,
+        lines,
+        {"design_unknown.csv": [_ARM_HEADER, *rows]},
     )
-    emitter.announce()
-    return 0
 
 
 def _analysis_variants(
     config: DesignConfig,
     data: TrialData,
-    doc: dict,
+    prior: PrecisionPrior | None,
 ) -> tuple[list[tuple[str, Any]], Any, list[str]]:
     """Assemble the precision models the config supports.
 
@@ -478,23 +386,15 @@ def _analysis_variants(
     if config.v is not None:
         variants.append(("common", KnownPrecision(config.v)))
     if all(nj >= 2 for nj in data.n):
-        sample_v = []
-        degenerate = False
-        for j in range(config.k + 1):
-            var = data.sample_variance(j)
-            if not (var > 0.0):
-                degenerate = True
-                break
-            sample_v.append(1.0 / var)
-        if degenerate:
-            notes.append("per-arm variant skipped: an arm has zero sample variance")
+        variances = [data.sample_variance(j) for j in range(config.k + 1)]
+        if all(var > 0.0 for var in variances):
+            variants.append(("per_arm", PerArmPrecision(tuple(1.0 / var for var in variances))))
         else:
-            variants.append(("per_arm", PerArmPrecision(tuple(sample_v))))
+            notes.append("per-arm variant skipped: an arm has zero sample variance")
     else:
         notes.append("per-arm variant skipped: every arm needs n >= 2")
     update = None
-    if "precision_prior" in doc:
-        prior = _precision_prior_from(doc["precision_prior"], need_assurance=False)
+    if prior is not None:
         update = update_precision(config.priors, prior, data)
         variants.append(("gamma", GammaPrecision(update.alpha, update.beta)))
     if not variants:
@@ -505,104 +405,104 @@ def _analysis_variants(
     return variants, update, notes
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    doc = load_config(Path(args.config))
+def _analyze(doc: dict, args: argparse.Namespace) -> _Output:
     config = _design_from(_require(doc, "design", "analyze"), need_v=False)
     data = _data_from(_require(doc, "data", "analyze"))
     summary = update_posterior(config.priors, data)
     analysis = doc.get("analysis", {})
     extra_thresholds = [float(c) for c in analysis.get("thresholds", [])]
     sd_threshold = analysis.get("sd_threshold")
+    if sd_threshold is not None and not (0.0 < sd_threshold < math.inf):
+        raise DomainError(
+            f"analysis.sd_threshold must be positive and finite, got {sd_threshold!r}"
+        )
     mc = _mc_from(doc, args.seed)
-    variants, update, notes = _analysis_variants(config, data, doc)
+    prior = None
+    if "precision_prior" in doc:
+        prior = _precision_prior_from(doc["precision_prior"], need_assurance=False)
+    variants, update, notes = _analysis_variants(config, data, prior)
+    k = config.k
 
-    header = ("quantity", "variant", "index", "value", "se")
-    rows: list[tuple[Any, ...]] = []
-    for j in range(config.k + 1):
-        rows.append(("posterior_information", "", j, summary.information[j], None))
-    for j in range(config.k + 1):
-        rows.append(("posterior_mean", "", j, summary.mean[j], None))
-    for j in range(1, config.k + 1):
-        rows.append(("effect", "", j, summary.effects[j - 1], None))
-    for j in range(1, config.k + 1):
-        rows.append(("pair_information", "", j, summary.pair_information[j - 1], None))
-
-    best = max(range(1, config.k + 1), key=lambda j: summary.effects[j - 1])
+    rows = [
+        ("quantity", "variant", "index", "value", "se"),
+        *_arms("posterior_information", summary.information, 0, ""),
+        *_arms("posterior_mean", summary.mean, 0, ""),
+        *_arms("effect", summary.effects, 1, ""),
+        *_arms("pair_information", summary.pair_information, 1, ""),
+    ]
+    best = max(range(1, k + 1), key=lambda j: summary.effects[j - 1])
     rows.append(("best_arm", "", "", best, None))
 
-    body = [
-        f"arms: control and {config.k} treatments",
+    lines = [
+        f"arms: control and {k} treatments",
         "posterior information, control first: " + _rseq(summary.information),
         "posterior means, control first: " + _rseq(summary.mean),
         "effects vs control: " + _rseq(summary.effects),
         f"treatment with the largest posterior effect: arm {best}",
+        *notes,
     ]
-    body.extend(notes)
 
     for name, precision in variants:
         decision = decide(summary, precision, config)
-        for j in range(1, config.k + 1):
-            rows.append(("prob_superior", name, j, decision.prob_superior[j - 1], None))
-        rows.append(("prob_any_superior", name, "", decision.prob_any_superior, None))
-        rows.append(
-            ("prob_all_below", name, repr(float(config.delta_star)), decision.prob_all_below, None)
-        )
         below = [(c, prob_all_below(summary, precision, c)) for c in extra_thresholds]
-        for c, p in below:
-            rows.append(("prob_all_below", name, repr(float(c)), p, None))
-        for j in range(1, config.k + 1):
-            rows.append(("promising", name, j, j in decision.promising, None))
-        rows.append(("abandon", name, "", decision.abandon, None))
-        rows.append(("outcome", name, "", decision.outcome.name, None))
         better = {
             j: prob_pairwise_better(summary, precision, j, best)
-            for j in range(1, config.k + 1)
+            for j in range(1, k + 1)
             if j != best
         }
-        rows.extend(
-            ("prob_better_than_best", name, j, p, None) for j, p in better.items()
-        )
+        rows += _arms("prob_superior", decision.prob_superior, 1, name)
+        rows.append(("prob_any_superior", name, "", decision.prob_any_superior, None))
+        rows += [
+            ("prob_all_below", name, repr(float(c)), p, None)
+            for c, p in [(config.delta_star, decision.prob_all_below), *below]
+        ]
+        rows += _arms("promising", [j in decision.promising for j in range(1, k + 1)], 1, name)
+        rows.append(("abandon", name, "", decision.abandon, None))
+        rows.append(("outcome", name, "", decision.outcome.name, None))
+        rows += [("prob_better_than_best", name, j, p, None) for j, p in better.items()]
 
-        body.append("")
-        body.append(f"precision model '{name}':")
-        body.append("  P(treatment beats control): " + _rseq(decision.prob_superior))
-        body.append(f"  P(any treatment beats control): {_r(decision.prob_any_superior)}")
-        body.append(
-            f"  P(all effects below {_r(config.delta_star)}): {_r(decision.prob_all_below)}"
-        )
-        for c, p in below:
-            body.append(f"  P(all effects below {_r(c)}): {_r(p)}")
-        body.append(
-            f"  P(arm j beats arm {best}): "
-            + ", ".join(f"arm {j} {_r(p)}" for j, p in sorted(better.items()))
-        )
         promising = " ".join(str(j) for j in decision.promising) or "none"
-        body.append(f"  promising treatments (eta = {_r(config.eta)}): {promising}")
-        body.append(f"  abandon indicated (zeta = {_r(config.zeta)}): {'yes' if decision.abandon else 'no'}")
-        body.append(f"  outcome: {decision.outcome.name}")
+        abandon = "yes" if decision.abandon else "no"
+        lines += [
+            "",
+            f"precision model '{name}':",
+            "  P(treatment beats control): " + _rseq(decision.prob_superior),
+            f"  P(any treatment beats control): {_r(decision.prob_any_superior)}",
+            f"  P(all effects below {_r(config.delta_star)}): {_r(decision.prob_all_below)}",
+            *(f"  P(all effects below {_r(c)}): {_r(p)}" for c, p in below),
+            f"  P(arm j beats arm {best}): "
+            + ", ".join(f"arm {j} {_r(p)}" for j, p in sorted(better.items())),
+            f"  promising treatments (eta = {_r(config.eta)}): {promising}",
+            f"  abandon indicated (zeta = {_r(config.zeta)}): {abandon}",
+            f"  outcome: {decision.outcome.name}",
+        ]
 
     if update is not None:
-        stats = precision_summary(
-            update, threshold=None if sd_threshold is None else 1.0 / float(sd_threshold) ** 2
-        )
-        rows.append(("precision_alpha", "gamma", "", update.alpha, None))
-        rows.append(("precision_beta", "gamma", "", update.beta, None))
-        rows.append(("precision_mean", "gamma", "", stats.mean, None))
-        rows.append(("sd_equivalent", "gamma", "", stats.sd_equivalent, None))
-        for j in range(config.k + 1):
-            rows.append(("sum_squares_contribution", "gamma", j, update.contributions[j], None))
-        body.append("")
-        body.append("gamma precision posterior:")
-        body.append(f"  shape {_r(update.alpha)}, rate {_r(update.beta)}")
-        body.append(
-            f"  mean precision {stats.mean:.6f} (sd equivalent {_r(stats.sd_equivalent)})"
-        )
+        threshold = None
         if sd_threshold is not None:
-            prior = _precision_prior_from(doc["precision_prior"], need_assurance=False)
-            prior_stats = precision_summary(prior, threshold=1.0 / float(sd_threshold) ** 2)
-            rows.append(("prob_sd_above", "gamma_posterior", repr(float(sd_threshold)), stats.prob_below, None))
-            rows.append(("prob_sd_above", "gamma_prior", repr(float(sd_threshold)), prior_stats.prob_below, None))
-            body.append(
+            # 1 / sd**2 can leave the float range; the tail is then 1 or 0.
+            square = sd_threshold * sd_threshold
+            threshold = math.inf if square == 0.0 else max(1.0 / square, math.ulp(0.0))
+        stats = precision_summary(update, threshold=threshold)
+        rows += [
+            ("precision_alpha", "gamma", "", update.alpha, None),
+            ("precision_beta", "gamma", "", update.beta, None),
+            ("precision_mean", "gamma", "", stats.mean, None),
+            ("sd_equivalent", "gamma", "", stats.sd_equivalent, None),
+            *_arms("sum_squares_contribution", update.contributions, 0, "gamma"),
+        ]
+        lines += [
+            "",
+            "gamma precision posterior:",
+            f"  shape {_r(update.alpha)}, rate {_r(update.beta)}",
+            f"  mean precision {stats.mean:.6f} (sd equivalent {_r(stats.sd_equivalent)})",
+        ]
+        if sd_threshold is not None:
+            prior_stats = precision_summary(prior, threshold=threshold)
+            index = repr(float(sd_threshold))
+            rows.append(("prob_sd_above", "gamma_posterior", index, stats.prob_below, None))
+            rows.append(("prob_sd_above", "gamma_prior", index, prior_stats.prob_below, None))
+            lines.append(
                 f"  P(response sd above {_r(sd_threshold)}): {_r(stats.prob_below)}"
                 f" (prior {_r(prior_stats.prob_below)})"
             )
@@ -611,43 +511,33 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         all_thresholds = [float(config.delta_star)] + extra_thresholds
         for name, precision in variants:
             draws = posterior_probs(summary, precision, all_thresholds, mc)
-            for j in range(1, config.k + 1):
-                est = draws.superior[j - 1]
+            for j, est in enumerate(draws.superior, 1):
                 rows.append(("prob_superior", name + "_mc", j, est.estimate, est.se))
-            rows.append(
-                ("prob_any_superior", name + "_mc", "", draws.any_superior.estimate, draws.any_superior.se)
-            )
+            est = draws.any_superior
+            rows.append(("prob_any_superior", name + "_mc", "", est.estimate, est.se))
             for c, est in zip(all_thresholds, draws.all_below):
                 rows.append(("prob_all_below", name + "_mc", repr(float(c)), est.estimate, est.se))
-        body.append("")
-        body.append(
+        lines += [
+            "",
             f"Monte Carlo cross-check: {mc.n_draws} draws, seed {mc.seed}"
-            f"{', antithetic' if mc.antithetic else ''} (see CSV for estimates)"
-        )
+            f"{', antithetic' if mc.antithetic else ''} (see CSV for estimates)",
+        ]
 
     resolved = {
-        "command": "analyze",
         "design": _resolved_design(config),
         "data": _resolved_data(data),
         "precision_prior": None
-        if "precision_prior" not in doc
-        else {
-            "alpha": float(doc["precision_prior"]["alpha"]),
-            "beta": float(doc["precision_prior"]["beta"]),
-        },
+        if prior is None
+        else {"alpha": float(prior.alpha), "beta": float(prior.beta)},
         "analysis": {"thresholds": extra_thresholds, "sd_threshold": sd_threshold},
-        "monte_carlo": _resolved_mc(mc),
+        "monte_carlo": None
+        if mc is None
+        else {"seed": mc.seed, "n_draws": mc.n_draws, "antithetic": mc.antithetic},
     }
-
-    emitter = _Emitter(Path(args.out), args.format)
-    emitter.csv("analysis.csv", header, rows)
-    emitter.report("analysis_report.txt", "posterior decision analysis", resolved, body)
-    emitter.announce()
-    return 0
+    return _Output("posterior decision analysis", resolved, lines, {"analysis.csv": rows})
 
 
-def _cmd_dunnett(args: argparse.Namespace) -> int:
-    doc = load_config(Path(args.config))
+def _dunnett(doc: dict, args: argparse.Namespace) -> _Output:
     design_sec = _require(doc, "design", "dunnett")
     dn = _require(doc, "dunnett", "dunnett")
     config = DunnettConfig(
@@ -660,15 +550,15 @@ def _cmd_dunnett(args: argparse.Namespace) -> int:
     )
     design = dunnett_design(config)
 
-    rows: list[tuple[Any, ...]] = [
+    rows = [
+        _ARM_HEADER,
         ("critical", "", design.critical),
         ("rho", "", design.rho),
         ("total", "", design.total),
+        *_arms("n", design.n),
+        *_arms("fractional_n", design.fractional_n),
     ]
-    rows.extend(("n", j, design.n[j]) for j in range(config.k + 1))
-    rows.extend(("fractional_n", j, design.fractional_n[j]) for j in range(config.k + 1))
-
-    body = [
+    lines = [
         f"one-sided familywise error: {_r(config.alpha)}",
         f"power at the worthwhile effect: {_r(config.power)}",
         f"critical value: {_r(design.critical)}",
@@ -677,9 +567,7 @@ def _cmd_dunnett(args: argparse.Namespace) -> int:
         f"fractional arm sizes: {_rseq(design.fractional_n)}",
         f"total sample size: {design.total}",
     ]
-
     resolved: dict[str, Any] = {
-        "command": "dunnett",
         "design": {"k": config.k, "delta_star": config.delta_star},
         "dunnett": {
             "alpha": config.alpha,
@@ -698,35 +586,29 @@ def _cmd_dunnett(args: argparse.Namespace) -> int:
         pooled_sds = tuple(pooled_pair_sd(data, j) for j in range(1, config.k + 1))
         z_star = float(dn.get("z_star", max(z_pooled)))
         p_value = dunnett_pvalue(data, z_star)
-        rows.extend(("z_fixed_sd", j, z_planned[j - 1]) for j in range(1, config.k + 1))
-        rows.extend(("pooled_sd", j, pooled_sds[j - 1]) for j in range(1, config.k + 1))
-        rows.extend(("z_pooled", j, z_pooled[j - 1]) for j in range(1, config.k + 1))
-        rows.append(("z_star", "", z_star))
-        rows.append(("p_value", "", p_value))
-        body.extend(
-            [
-                "",
-                f"contrasts at the planning sd: {_rseq(z_planned)}",
-                f"per-pair pooled sds: {_rseq(pooled_sds)}",
-                f"contrasts at the pooled sds: {_rseq(z_pooled)}",
-                f"observed maximum: {_r(z_star)}"
-                if "z_star" not in dn
-                else f"reference statistic: {_r(z_star)}",
-                f"p-value for the best-looking treatment: {p_value:.4e}",
-            ]
-        )
+        rows += [
+            *_arms("z_fixed_sd", z_planned, 1),
+            *_arms("pooled_sd", pooled_sds, 1),
+            *_arms("z_pooled", z_pooled, 1),
+            ("z_star", "", z_star),
+            ("p_value", "", p_value),
+        ]
+        star = "reference statistic" if "z_star" in dn else "observed maximum"
+        lines += [
+            "",
+            f"contrasts at the planning sd: {_rseq(z_planned)}",
+            f"per-pair pooled sds: {_rseq(pooled_sds)}",
+            f"contrasts at the pooled sds: {_rseq(z_pooled)}",
+            f"{star}: {_r(z_star)}",
+            f"p-value for the best-looking treatment: {p_value:.4e}",
+        ]
         resolved["data"] = _resolved_data(data)
         resolved["dunnett"]["z_star"] = z_star
 
-    emitter = _Emitter(Path(args.out), args.format)
-    emitter.csv("dunnett.csv", ("quantity", "arm", "value"), rows)
-    emitter.report("dunnett_report.txt", "frequentist comparator", resolved, body)
-    emitter.announce()
-    return 0
+    return _Output("frequentist comparator", resolved, lines, {"dunnett.csv": rows})
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
-    doc = load_config(Path(args.config))
+def _boundary(doc: dict, args: argparse.Namespace) -> _Output:
     config = _design_from(_require(doc, "design", "boundary"), need_v=True)
     if config.k != 2:
         raise UnsupportedConfigurationError(
@@ -754,10 +636,13 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     else:
         proceed = ((t1, t2 - span2), (t1, t2), (t1 - span1, t2))
 
-    rows: list[tuple[Any, ...]] = [("Proceed", x, y) for x, y in proceed]
-    rows.extend(("Abandon", x, y) for x, y in curve.points)
-
-    body = [
+    rows = [
+        (f"# criterion={criterion.value}",),
+        ("boundary", "delta11", "delta12"),
+        *(("Proceed", x, y) for x, y in proceed),
+        *(("Abandon", x, y) for x, y in curve.points),
+    ]
+    lines = [
         f"criterion: {criterion.value} ({criterion.name})",
         f"arm sizes, control first: {design.n}",
         f"promising thresholds: {_r(t1)}, {_r(t2)}",
@@ -765,119 +650,121 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         f"abandonment curve points: {len(curve.points)}",
     ]
     resolved = {
-        "command": "boundary",
         "criterion": criterion.value,
         "design": _resolved_design(config),
         "boundary": None if bsec is None else dict(bsec),
     }
-
-    emitter = _Emitter(Path(args.out), args.format)
-    emitter.csv(
-        "boundary.csv",
-        ("boundary", "delta11", "delta12"),
-        rows,
-        preamble=(f"# criterion={criterion.value}",),
-    )
-    emitter.report("boundary_report.txt", "stop/go boundary", resolved, body)
-    emitter.announce()
-    return 0
+    return _Output("stop/go boundary", resolved, lines, {"boundary.csv": rows})
 
 
-def _cmd_reproduce_tables(args: argparse.Namespace) -> int:
+def _match_row(lead: tuple, got: tuple, want: tuple) -> tuple:
+    return (*lead, *got, *want, "pass" if got == want else "fail")
+
+
+def _reproduce_tables(doc: dict, args: argparse.Namespace) -> _Output:
     data = datasets.case_study_data()
     config = datasets.case_study_config()
 
     exp_ns = data.n[1:]
-    exp_label = (
-        str(exp_ns[0])
-        if len(set(exp_ns)) == 1
-        else f"{min(exp_ns)}-{max(exp_ns)}"
-    )
-    computed: dict[str, tuple[str, str, str]] = {
-        "conducted_trial": (exp_label, str(data.n[0]), str(data.total))
-    }
+    exp_label = str(exp_ns[0]) if len(set(exp_ns)) == 1 else f"{min(exp_ns)}-{max(exp_ns)}"
     freq = dunnett_design(datasets.case_study_frequentist_config())
-    computed["frequentist_equal"] = (str(freq.n[1]), str(freq.n[0]), str(freq.total))
-    for label, criterion in (
-        ("criterion_1", Criterion.ALL_PROMISING),
-        ("criterion_2", Criterion.ANY_PROMISING),
-    ):
+    computed = {
+        "conducted_trial": (exp_label, data.n[0], data.total),
+        "frequentist_equal": (freq.n[1], freq.n[0], freq.total),
+    }
+    for criterion in Criterion:
         d = optimal_design(config, criterion)
-        computed[label] = (str(d.n[1]), str(d.n[0]), str(d.total))
-
-    comp_header = (
-        "label",
-        "n_experimental",
-        "n_control",
-        "total",
-        "expected_experimental",
-        "expected_control",
-        "expected_total",
-        "match",
-    )
-    comp_rows = []
-    comp_pass = 0
-    for label, exp_e, ctl_e, total_e in datasets.REFERENCE_COMPARATIVE_DESIGNS:
-        got = computed[label]
-        want = (str(exp_e), str(ctl_e), str(total_e))
-        ok = got == want
-        comp_pass += ok
-        comp_rows.append((label, *got, *want, "pass" if ok else "fail"))
-
-    assured_header = (
-        "prior_alpha",
-        "prior_beta",
-        "assurance",
-        "criterion",
-        "n_experimental",
-        "n_control",
-        "total",
-        "expected_experimental",
-        "expected_control",
-        "expected_total",
-        "match",
-    )
-    assured_rows = []
-    assured_pass = 0
-    for alpha, beta, assurance, want_c1, want_c2 in datasets.REFERENCE_ASSURED_DESIGNS:
-        prior = PrecisionPrior(alpha=alpha, beta=beta, assurance=assurance)
-        for criterion, want in (
-            (Criterion.ALL_PROMISING, want_c1),
-            (Criterion.ANY_PROMISING, want_c2),
-        ):
-            d = assured_design(config, prior, criterion)
-            got = (d.n[1], d.n[0], d.total)
-            ok = got == want
-            assured_pass += ok
-            assured_rows.append(
-                (alpha, beta, assurance, criterion.value, *got, *want, "pass" if ok else "fail")
-            )
-
-    resolved = {"command": "reproduce-tables"}
-    body = [
-        f"comparative designs: {comp_pass}/{len(comp_rows)} rows match",
-        f"assurance designs: {assured_pass}/{len(assured_rows)} rows match",
+        computed[f"criterion_{criterion.value}"] = (d.n[1], d.n[0], d.total)
+    comp_rows = [
+        _match_row((label,), tuple(map(str, computed[label])), tuple(map(str, want)))
+        for label, *want in datasets.REFERENCE_COMPARATIVE_DESIGNS
     ]
-    for row in comp_rows + assured_rows:
-        if row[-1] == "fail":
-            body.append(f"  mismatch: {row}")
 
-    emitter = _Emitter(Path(args.out), args.format)
-    emitter.csv("comparative_designs.csv", comp_header, comp_rows)
-    emitter.csv("assured_designs.csv", assured_header, assured_rows)
-    emitter.report("reproduce_tables_report.txt", "reference design tables", resolved, body)
-    emitter.announce()
-    return 0
+    assured_rows = []
+    for alpha, beta, assurance, *wants in datasets.REFERENCE_ASSURED_DESIGNS:
+        prior = PrecisionPrior(alpha=alpha, beta=beta, assurance=assurance)
+        for criterion, want in zip(Criterion, wants):
+            d = assured_design(config, prior, criterion)
+            lead = (alpha, beta, assurance, criterion.value)
+            assured_rows.append(_match_row(lead, (d.n[1], d.n[0], d.total), want))
+
+    lines = [
+        f"{what} designs: {sum(r[-1] == 'pass' for r in rows)}/{len(rows)} rows match"
+        for what, rows in (("comparative", comp_rows), ("assurance", assured_rows))
+    ]
+    lines += [f"  mismatch: {row}" for row in comp_rows + assured_rows if row[-1] == "fail"]
+
+    sizes = ("n_experimental", "n_control", "total")
+    expected = ("expected_experimental", "expected_control", "expected_total")
+    tables = {
+        "comparative_designs.csv": [("label", *sizes, *expected, "match"), *comp_rows],
+        "assured_designs.csv": [
+            ("prior_alpha", "prior_beta", "assurance", "criterion", *sizes, *expected, "match"),
+            *assured_rows,
+        ],
+    }
+    return _Output("reference design tables", {}, lines, tables)
 
 
-_COMMANDS = {
-    "design-known": _cmd_design_known,
-    "design-unknown": _cmd_design_unknown,
-    "analyze": _cmd_analyze,
-    "dunnett": _cmd_dunnett,
-    "boundary": _cmd_boundary,
-    "reproduce-tables": _cmd_reproduce_tables,
+def _write(args: argparse.Namespace, result: _Output) -> None:
+    """Write the outputs ``--format`` selects, then name each file written."""
+    texts = {}
+    if args.format != "report":
+        for name, rows in result.tables.items():
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                [_fmt_cell(cell) for cell in row] for row in rows
+            )
+            texts[name] = buf.getvalue()
+    if args.format != "csv":
+        resolved = {"command": args.command, **result.resolved}
+        lines = [result.title, "=" * len(result.title), "", "resolved configuration:"]
+        echo = json.dumps(resolved, indent=2, sort_keys=True).splitlines()
+        lines += ["  " + line for line in echo]
+        lines += ["", *result.lines]
+        texts[f"{args.stem}_report.txt"] = "\n".join(lines) + "\n"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    for name in texts:
+        print(f"wrote {out / name}")
+
+
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--config": {"required": True, "help": "JSON run configuration"},
+    "--criterion": {
+        "type": int,
+        "choices": (1, 2),
+        "default": 1,
+        "help": "1: every treatment must be decidable; 2: at least one (default 1)",
+    },
+    "--seed": {"type": int, "default": None, "help": "override the Monte Carlo seed"},
+    "--out": {"default": ".", "help": "output directory, created if missing (default .)"},
+    "--format": {
+        "choices": ("csv", "report", "both"),
+        "default": "both",
+        "help": "which outputs to write (default both)",
+    },
 }
+
+_SIZING_FLAGS = ("--config", "--criterion")
+
+# (subcommand, compute, report stem, help, flags besides --out and --format)
+_COMMANDS = (
+    ("design-known", _design_known, "design_known",
+     "size a trial with known response precision", _SIZING_FLAGS),
+    ("design-unknown", _design_unknown, "design_unknown",
+     "size a trial under a gamma precision prior", _SIZING_FLAGS),
+    ("analyze", _analyze, "analysis",
+     "posterior decision analysis of observed arm summaries", ("--config", "--seed")),
+    ("dunnett", _dunnett, "dunnett", "frequentist many-to-one comparator", ("--config",)),
+    ("boundary", _boundary, "boundary",
+     "stop/go boundary polylines for a two-treatment design", _SIZING_FLAGS),
+    ("reproduce-tables", _reproduce_tables, "reproduce_tables",
+     "regenerate the bundled reference design tables", ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -887,53 +774,24 @@ def build_parser() -> argparse.ArgumentParser:
         "multi-arm trials with a shared control.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--criterion",
-        type=int,
-        choices=(1, 2),
-        default=1,
-        help="1: every treatment must be decidable; 2: at least one (default 1)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None, help="override the Monte Carlo seed"
-    )
-    common.add_argument(
-        "--out", default=".", help="output directory, created if missing (default .)"
-    )
-    common.add_argument(
-        "--format",
-        choices=("csv", "report", "both"),
-        default="both",
-        help="which outputs to write (default both)",
-    )
-
-    specs = (
-        ("design-known", "size a trial with known response precision", True),
-        ("design-unknown", "size a trial under a gamma precision prior", True),
-        ("analyze", "posterior decision analysis of observed arm summaries", True),
-        ("dunnett", "frequentist many-to-one comparator", True),
-        ("boundary", "stop/go boundary polylines for a two-treatment design", True),
-        ("reproduce-tables", "regenerate the bundled reference design tables", False),
-    )
-    for name, help_text, needs_config in specs:
-        sub = subparsers.add_parser(name, parents=[common], help=help_text)
-        if needs_config:
-            sub.add_argument("--config", required=True, help="JSON run configuration")
-        else:
-            sub.add_argument("--config", required=False, help=argparse.SUPPRESS)
+    for name, compute, stem, help_text, flags in _COMMANDS:
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.set_defaults(compute=compute, stem=stem)
+        for flag in (*flags, "--out", "--format"):
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        doc = load_config(Path(args.config)) if "config" in args else {}
+        _write(args, args.compute(doc, args))
+        return 0
     except (NumericError, InfeasibleDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, UnsupportedConfigurationError, DataInconsistencyError) as exc:
+    except (DomainError, UnsupportedConfigurationError, DataInconsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except jsonschema.ValidationError as exc:
@@ -942,9 +800,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -240,6 +240,8 @@ def dunnett_pvalue(
         raise DataInconsistencyError("standard deviations must be positive")
     if any(n < 1 for n in data.n):
         raise DomainError("all arms need at least one observation")
+    if math.isinf(z_star):
+        return 0.0 if z_star > 0 else 1.0
 
     # Row j is arm j's term, over u, arm j's standardised sample mean under
     # the null. The other arms fall below it with probability

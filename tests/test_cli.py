@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from multiarm.cli import main
+from multiarm.cli import build_parser, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -91,7 +92,9 @@ class TestDesignUnknown:
     def test_infeasible_assurance(self, tmp_path, case_doc):
         case_doc["precision_prior"]["assurance"] = 1.0 - 1e-12
         cfg = write_config(tmp_path, case_doc)
-        assert main(["design-unknown", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main(["design-unknown", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -129,6 +132,28 @@ class TestAnalyze:
         cfg = write_config(tmp_path, two_doc)
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("sd_threshold", [0.0, -2.0, math.inf, math.nan])
+    def test_invalid_sd_threshold(self, tmp_path, case_doc, capsys, sd_threshold):
+        case_doc["analysis"]["sd_threshold"] = sd_threshold
+        cfg = write_config(tmp_path, case_doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "analysis.sd_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sd_threshold, above", [(1e-300, 1.0), (1e200, 0.0)])
+    def test_extreme_sd_threshold(self, tmp_path, case_doc, sd_threshold, above):
+        # The threshold precision 1 / sd**2 overflows or underflows.
+        case_doc["analysis"]["sd_threshold"] = sd_threshold
+        cfg = write_config(tmp_path, case_doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [r for r in csv_rows(out / "analysis.csv") if r[0] == "prob_sd_above"]
+        assert [(r[1], r[2]) for r in rows] == [
+            ("gamma_posterior", repr(sd_threshold)), ("gamma_prior", repr(sd_threshold)),
+        ]
+        assert [float(r[3]) for r in rows] == pytest.approx([above, above], abs=1e-300)
+
 
 class TestDunnett:
     def test_case_study_pvalue(self, tmp_path):
@@ -152,6 +177,15 @@ class TestDunnett:
         rows = csv_rows(out / "dunnett.csv")
         p = float(next(r for r in rows if r[0] == "p_value")[2])
         assert p == pytest.approx(2.45834489389883e-07, rel=1e-9)
+
+    @pytest.mark.parametrize("z_star, want", [(math.inf, "0.0"), (-math.inf, "1.0")])
+    def test_infinite_reference_statistic(self, tmp_path, case_doc, z_star, want):
+        case_doc["dunnett"]["z_star"] = z_star
+        cfg = write_config(tmp_path, case_doc)
+        out = tmp_path / "out"
+        assert main(["dunnett", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = csv_rows(out / "dunnett.csv")
+        assert next(r for r in rows if r[0] == "p_value")[2] == want
 
 
 class TestBoundary:
@@ -252,6 +286,46 @@ class TestBadInput:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# The flags each subcommand reads besides the COMMON ones.
+COMMON = {"--out", "--format"}
+FLAGS = {
+    "design-known": {"--config", "--criterion"},
+    "design-unknown": {"--config", "--criterion"},
+    "boundary": {"--config", "--criterion"},
+    "analyze": {"--config", "--seed"},
+    "dunnett": {"--config"},
+    "reproduce-tables": set(),
+}
+FLAG_VALUES = {
+    "--config": str(CONFIGS / "case_study.json"),
+    "--criterion": "2",
+    "--seed": "3",
+    "--out": "out",
+    "--format": "csv",
+}
+
+
+def _with(flags):
+    return [part for flag in sorted(flags) for part in (flag, FLAG_VALUES[flag])]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_accepted_flags(command):
+    args = build_parser().parse_args([command, *_with(FLAGS[command] | COMMON)])
+    assert args.command == command
+
+
+UNREAD = [(c, f) for c in sorted(FLAGS) for f in sorted(FLAG_VALUES.keys() - FLAGS[c] - COMMON)]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_unread_flag_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_with(FLAGS[command]), *_with({flag})])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -254,6 +254,10 @@ class TestPValue:
         with pytest.raises(DomainError):
             dunnett_pvalue(case_data, z_star=math.nan)
 
+    @pytest.mark.parametrize("z_star, want", [(math.inf, 0.0), (-math.inf, 1.0)])
+    def test_infinite_reference(self, case_data, z_star, want):
+        assert dunnett_pvalue(case_data, z_star=z_star) == want
+
 
 def norm_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

@@ -11,6 +11,11 @@ Regenerate the stored outputs (only when a change of output is
 intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+or store only the named cases, merged into the manifest, leaving every
+other case as it is (the way to add a case)::
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{cfg}-analyze"] = ["analyze", "--config", path]
         cases[f"{cfg}-analyze-seed11"] = ["analyze", "--config", path, "--seed", "11"]
         cases[f"{cfg}-dunnett"] = ["dunnett", "--config", path]
+    cases["two_treatment-design-known-csv"] = [
+        "design-known", "--config", "configs/two_treatment.json", "--format", "csv",
+    ]
+    cases["case_study-analyze-report"] = [
+        "analyze", "--config", "configs/case_study.json", "--format", "report",
+    ]
     cases["reproduce-tables"] = ["reproduce-tables"]
     return cases
 
@@ -116,12 +127,20 @@ def test_cli_matches_golden(name, manifest, tmp_path):
             assert text == stored, fname
 
 
-def regenerate() -> None:
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    GOLDEN.mkdir(parents=True)
-    manifest = {}
-    for name, argv in CASES.items():
+def regenerate(names: list[str]) -> None:
+    """Store every case afresh, or only ``names`` merged into the manifest."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases: {', '.join(unknown)}")
+    if names:
+        manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    else:
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        GOLDEN.mkdir(parents=True)
+        manifest = {}
+    for name in names or CASES:
+        argv = CASES[name]
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
         code, err, files = run_case(argv, GOLDEN / name)
         manifest[name] = {"argv": argv, "exit": code, "stderr": err, "files": sorted(files)}
         print(f"{name}: exit {code}, {len(files)} files", file=sys.stderr)
@@ -129,4 +148,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
