@@ -144,10 +144,20 @@ _SCHEMA = _object(
 )
 
 
+def _check_float_range(node: Any, where: str = "") -> None:
+    """Reject JSON integers too large to become floats, naming their path."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            _check_float_range(value, f"{where}/{key}" if where else str(key))
+    elif isinstance(node, int) and abs(node) > sys.float_info.max:
+        raise DomainError(f"config {where}: integer beyond the float range")
+
+
 def load_config(path: Path) -> dict:
     """Read and schema-validate a JSON run configuration."""
     doc = json.loads(path.read_text(encoding="utf-8"))
     jsonschema.validate(doc, _SCHEMA)
+    _check_float_range(doc)
     return doc
 
 

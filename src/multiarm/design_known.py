@@ -1,18 +1,21 @@
 """Sample size determination with a known response precision.
 
 Both criteria reduce to a target ``V`` on the pairwise posterior
-information between each experimental arm and control:
+information between each experimental arm and control: the square of
+(promising quantile at ``eta`` + ``zeta`` quantile of the largest of the
+correlated effect estimates) / ``delta_star``.
 
 * the stronger criterion guarantees that when the trial is abandoned,
-  a truly worthwhile treatment would still have looked promising, which
-  involves the distribution of the largest of the k correlated effect
-  estimates;
-* the weaker one only controls each comparison marginally, replacing
-  the max-distribution quantile with a plain normal quantile.
+  a truly worthwhile treatment would still have looked promising, so its
+  max runs over all k arms;
+* the weaker one only controls each comparison marginally, which is the
+  same rule with the max over one arm.
 
-Sample sizes then follow from splitting the required information between
-control and experimental arms in a chosen ratio, subtracting what the
-priors already contribute, and rounding up.
+Known precision is the df = inf case of that rule; an uncertain
+precision (:mod:`multiarm.design_unknown`) evaluates it at Student
+degrees of freedom. Sample sizes then follow from splitting the required
+information between control and experimental arms in a chosen ratio,
+subtracting what the priors already contribute, and rounding up.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile
+from .distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile, t_quantile
 from .exceptions import DomainError, NumericError, UnsupportedConfigurationError
 from .model import Criterion, DesignConfig, DesignResult
 from .posterior import _joint_below_given_control
@@ -44,44 +47,61 @@ def _ceil_count(x: float) -> int:
     return max(0, math.ceil(x - 1e-9))
 
 
+def _criterion_arms(config: DesignConfig, criterion: Criterion) -> int:
+    """Number of arms the criterion's max runs over: all k for the
+    stronger criterion, one for the weaker."""
+    if criterion == Criterion.ALL_PROMISING:
+        return config.k
+    if criterion == Criterion.ANY_PROMISING:
+        return 1
+    raise DomainError(f"unknown criterion {criterion!r}")
+
+
+def _standard_target(config: DesignConfig, criterion: Criterion, df: float) -> float:
+    """Pairwise information target in standardised units (patients times
+    the response precision) when effect tails have ``df`` degrees of
+    freedom, inf for normal tails."""
+    spec = EquicorrSpec(k=_criterion_arms(config, criterion), rho=config.rho, df=df)
+    reach = t_quantile(df, config.eta) + equicorr_max_quantile(spec, config.zeta)
+    return (reach / config.delta_star) ** 2
+
+
 def information_target(config: DesignConfig, criterion: Criterion) -> float:
     """Required pairwise posterior information ``V`` in standardised units
     (multiply by 1/v to get patient-equivalents)."""
-    z_eta = normal_quantile(config.eta) if config.eta > 0.5 else 0.0
-    if criterion == Criterion.ALL_PROMISING:
-        spec = EquicorrSpec(k=config.k, rho=config.rho)
-        upper = equicorr_max_quantile(spec, config.zeta)
-    elif criterion == Criterion.ANY_PROMISING:
-        upper = normal_quantile(config.zeta) if config.zeta > 0.5 else 0.0
-    else:
-        raise DomainError(f"unknown criterion {criterion!r}")
-    return ((z_eta + upper) / config.delta_star) ** 2
+    return _standard_target(config, criterion, math.inf)
 
 
 def _pairwise_information(q_control: float, q_experimental: float) -> float:
-    return q_experimental * q_control / (q_experimental + q_control)
+    """Information on the difference of two arm means; none when neither
+    arm has any."""
+    total = q_experimental + q_control
+    return q_experimental * q_control / total if total > 0.0 else 0.0
 
 
-def optimal_design(config: DesignConfig, criterion: Criterion) -> DesignResult:
-    """Smallest design meeting the criterion at the configured allocation.
+def _shares(config: DesignConfig, information: float) -> list[float]:
+    """Posterior information each arm needs, control first, for
+    ``information`` on every comparison with control carrying ``r`` times
+    an experimental arm's weight."""
+    r = config.allocation_ratio
+    return [information * (1.0 + r)] + [information * (1.0 + r) / r] * config.k
 
-    The target information is split so that control carries ``r`` times
-    the experimental weight; arms whose priors already exceed their share
+
+def _allocate(config: DesignConfig, criterion: Criterion, target: float, v: float) -> DesignResult:
+    """Smallest design giving every comparison ``target`` pairwise
+    information at response precision ``v`` and the configured allocation.
+
+    The target is split so that control carries ``r`` times the
+    experimental weight; arms whose priors already exceed their share
     recruit nobody, which can only help the remaining comparisons.
     """
-    v = config.known_v()
-    target = information_target(config, criterion)
-    r = config.allocation_ratio
-    q_exp = (target / v) * (1.0 + r) / r
-    q_ctl = (target / v) * (1.0 + r)
-
     q0 = [p.information for p in config.priors]
-    fractional = [max(q_ctl - q0[0], 0.0)]
-    fractional += [max(q_exp - q0[j], 0.0) for j in range(1, config.k + 1)]
+    fractional = [max(q - q0[j], 0.0) for j, q in enumerate(_shares(config, target / v))]
     n = [_ceil_count(x) for x in fractional]
 
-    # Rounding up and clamping can only add information, but repair
-    # defensively in case of pathological float behaviour.
+    # Rounding up and clamping only add information, but a share within
+    # the float dust ``_ceil_count`` forgives rounds to nobody, and no
+    # comparison exceeds control's own information; repair both here.
     for _ in range(100):
         q1 = [q0[j] + n[j] for j in range(config.k + 1)]
         deficits = [
@@ -93,6 +113,8 @@ def optimal_design(config: DesignConfig, criterion: Criterion) -> DesignResult:
             break
         for j in deficits:
             n[j] += 1
+        if q1[0] * v <= target:
+            n[0] += 1
     else:
         raise NumericError("design repair loop failed to terminate")
 
@@ -106,6 +128,12 @@ def optimal_design(config: DesignConfig, criterion: Criterion) -> DesignResult:
         achieved_information=achieved,
         fractional_n=tuple(fractional),
     )
+
+
+def optimal_design(config: DesignConfig, criterion: Criterion) -> DesignResult:
+    """Smallest design meeting the criterion at the configured allocation."""
+    v = config.known_v()
+    return _allocate(config, criterion, information_target(config, criterion), v)
 
 
 def integer_search(
@@ -168,9 +196,7 @@ def borderline_threshold(config: DesignConfig, pair_information: float) -> float
     given pairwise information in patient-equivalents."""
     if not (pair_information > 0.0):
         raise DomainError(f"pair_information must be positive, got {pair_information!r}")
-    v = config.known_v()
-    z_eta = normal_quantile(config.eta) if config.eta > 0.5 else 0.0
-    return z_eta / math.sqrt(pair_information * v)
+    return normal_quantile(config.eta) / math.sqrt(pair_information * config.known_v())
 
 
 @dataclass(frozen=True)
@@ -226,9 +252,8 @@ def boundary_curve(
         offsets = (config.delta_star - np.asarray([d1, d2])) * scale
         return float(_joint_below_given_control(slopes, offsets, tol))
 
-    z_zeta = normal_quantile(config.zeta) if config.zeta > 0.5 else 0.0
     sd2 = 1.0 / math.sqrt(pair[1] * v)
-    asymptote = config.delta_star - z_zeta * sd2
+    asymptote = config.delta_star - normal_quantile(config.zeta) * sd2
 
     if grid is None:
         sd1 = 1.0 / math.sqrt(pair[0] * v)

@@ -4,10 +4,13 @@ The common precision gets a conjugate gamma prior. Two things change
 against the known-precision case: posterior effect tails become Student,
 and the design must hold not for one precision value but with a chosen
 assurance probability over the precision's own posterior, which brings
-in a beta quantile of the variance-reduction fraction. The required
-pairwise information then depends on the total sample size through the
-Student degrees of freedom and the beta quantile, so the design is the
-fixed point of "sample size needed at sample size n".
+in a beta quantile of the variance-reduction fraction. The sizing rule
+is the known-precision one (:mod:`multiarm.design_known`) at df = 2 alpha1
+instead of df = inf, with the precision the assurance level guarantees in
+place of the known one. The required pairwise information then depends on
+the total sample size through the Student degrees of freedom and the beta
+quantile, so the design is the fixed point of "sample size needed at
+sample size n".
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from typing import Sequence
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
-from .distributions import (
-    EquicorrSpec,
-    beta_quantile,
-    equicorr_max_cdf,
-    equicorr_max_quantile,
-    t_quantile,
+from .design_known import (
+    _allocate,
+    _criterion_arms,
+    _pairwise_information,
+    _shares,
+    _standard_target,
 )
+from .distributions import EquicorrSpec, beta_quantile, equicorr_max_cdf, t_quantile
 from .exceptions import (
     DataInconsistencyError,
     DomainError,
@@ -108,12 +112,23 @@ def precision_summary(
     )
 
 
-def _variance_fraction(n_total: float, prior: PrecisionPrior) -> float:
-    """Assurance quantile of the fraction of posterior precision owed to
-    the data, a Beta(n/2, alpha0) variable."""
-    if n_total <= 2e-12:
-        return 0.0
-    return beta_quantile(0.5 * n_total, prior.alpha, prior.assurance)
+def _assured_variance(n_total: float, prior: PrecisionPrior) -> tuple[float, float]:
+    """Response variance the design may count on once ``n_total``
+    observations are in, and the Student degrees of freedom 2 alpha1 of
+    the posterior effect tails.
+
+    The share of the posterior precision owed to the data is a
+    Beta(n/2, alpha0) variable; the design counts on its assurance quantile.
+    """
+    if not (0.0 <= n_total < math.inf):
+        raise DomainError(f"n_total must be a finite nonnegative number, got {n_total!r}")
+    fraction = beta_quantile(0.5 * n_total, prior.alpha, prior.assurance) if n_total > 2e-12 else 0.0
+    if 1.0 - fraction < 1e-12:
+        raise InfeasibleDesignError(
+            f"assurance {prior.assurance!r} leaves no precision budget at n={n_total!r}"
+        )
+    alpha1 = prior.alpha + 0.5 * n_total
+    return prior.beta / (alpha1 * (1.0 - fraction)), 2.0 * alpha1
 
 
 def assured_information_target(
@@ -129,24 +144,8 @@ def assured_information_target(
     the prior's scale substitutes for the unknown precision and the
     assurance level inflates it through a beta quantile.
     """
-    if math.isnan(n_total) or n_total < 0.0 or math.isinf(n_total):
-        raise DomainError(f"n_total must be a finite nonnegative number, got {n_total!r}")
-    alpha1 = prior.alpha + 0.5 * n_total
-    fraction = _variance_fraction(n_total, prior)
-    if 1.0 - fraction < 1e-12:
-        raise InfeasibleDesignError(
-            f"assurance {prior.assurance!r} leaves no precision budget at n={n_total!r}"
-        )
-    df = 2.0 * alpha1
-    t_eta = t_quantile(df, config.eta) if config.eta > 0.5 else 0.0
-    if criterion == Criterion.ALL_PROMISING:
-        upper = equicorr_max_quantile(EquicorrSpec(k=config.k, rho=config.rho, df=df), config.zeta)
-    elif criterion == Criterion.ANY_PROMISING:
-        upper = t_quantile(df, config.zeta) if config.zeta > 0.5 else 0.0
-    else:
-        raise DomainError(f"unknown criterion {criterion!r}")
-    scale = prior.beta / (alpha1 * (1.0 - fraction))
-    return scale * ((t_eta + upper) / config.delta_star) ** 2
+    variance, df = _assured_variance(n_total, prior)
+    return variance * _standard_target(config, criterion, df)
 
 
 def assured_design(
@@ -159,7 +158,8 @@ def assured_design(
     Plain iteration of "total required at total n" converges in a handful
     of steps for realistic inputs; a damped phase and a bracketed root
     fallback cover the rest. The fractional solution is then split across
-    arms at the configured allocation and rounded up per arm.
+    arms at the configured allocation and rounded up per arm, and resized
+    at the enrolled total should that total need more.
     """
     r = config.allocation_ratio
     k = config.k
@@ -169,7 +169,10 @@ def assured_design(
 
     def required_total(n: float) -> float:
         target = assured_information_target(n, config, prior, criterion)
-        return factor * target - sum_q0
+        # Arms whose priors exceed their share recruit nobody; their
+        # excess is added back so the total is the one actually enrolled.
+        excess = sum(max(q - s, 0.0) for q, s in zip(q0, _shares(config, target)))
+        return factor * target - sum_q0 + excess
 
     n = max(required_total(0.0), 0.0)
     converged = False
@@ -191,21 +194,45 @@ def assured_design(
             raise NumericError("assured design: no bracket for the fixed point")
         n = brentq(lambda m: m - required_total(m), lo, hi, xtol=1e-9)
 
+    # Rounding up enrols more than the fractional total, which at small
+    # totals needs more information, and moves the effect correlation off
+    # the allocation's; add patients until the design meets its criterion.
     target = assured_information_target(n, config, prior, criterion)
-    q_exp = target * (1.0 + r) / r
-    q_ctl = target * (1.0 + r)
-    fractional = [max(q_ctl - q0[0], 0.0)]
-    fractional += [max(q_exp - q0[j], 0.0) for j in range(1, k + 1)]
-    arms = tuple(max(0, math.ceil(x - 1e-9)) for x in fractional)
-    q1 = [q0[j] + arms[j] for j in range(k + 1)]
-    achieved = min(q1[0] * q1[j] / (q1[0] + q1[j]) for j in range(1, k + 1))
-    return DesignResult(
-        criterion=criterion,
-        n=arms,
-        information_target=target,
-        achieved_information=achieved,
-        fractional_n=tuple(fractional),
-    )
+    for _ in range(100):
+        design = _allocate(config, criterion, target, 1.0)
+        q1 = [p.information + nj for p, nj in zip(config.priors, design.n)]
+        if _design_met(q1, design.total, config, prior, criterion):
+            return design
+        target = max(
+            assured_information_target(design.total, config, prior, criterion),
+            design.achieved_information * (1.0 + 1e-9),
+        )
+    raise NumericError("assured design: the rounded design never met its criterion")
+
+
+def _design_met(
+    q1: Sequence[float],
+    n_total: float,
+    config: DesignConfig,
+    prior: PrecisionPrior,
+    criterion: Criterion,
+    slack: float = 1e-9,
+) -> bool:
+    """Whether posterior information ``q1`` (control first) meets the
+    assured criterion once ``n_total`` observations are in, judged at the
+    least-informed experimental arm: its pairwise information and effect
+    correlation are the smallest, so exact for equal arms and conservative
+    otherwise."""
+    pair = _pairwise_information(q1[0], min(q1[1:]))
+    variance, df = _assured_variance(float(n_total), prior)
+    reach = config.delta_star * math.sqrt(pair / variance) - t_quantile(df, config.eta)
+    arms = _criterion_arms(config, criterion)
+    rho = pair / q1[0] if q1[0] > 0.0 else 1.0
+    if rho >= 1.0:
+        # Without control information the effect estimates move together,
+        # so their max is a single statistic.
+        arms, rho = 1, 0.0
+    return equicorr_max_cdf(EquicorrSpec(k=arms, rho=rho, df=df), reach) >= config.zeta - slack
 
 
 def assured_criterion_met(
@@ -234,26 +261,4 @@ def assured_criterion_met(
         raise UnsupportedConfigurationError(
             "direct verification assumes equal information on experimental arms"
         )
-    q_exp = q1[1]
-    pair = q_exp * q1[0] / (q_exp + q1[0])
-    rho = pair / q1[0]
-
-    n_total = float(sum(arm_sizes))
-    alpha1 = prior.alpha + 0.5 * n_total
-    fraction = _variance_fraction(n_total, prior)
-    if 1.0 - fraction < 1e-12:
-        raise InfeasibleDesignError(
-            f"assurance {prior.assurance!r} leaves no precision budget at n={n_total!r}"
-        )
-    df = 2.0 * alpha1
-    t_eta = t_quantile(df, config.eta) if config.eta > 0.5 else 0.0
-    reach = config.delta_star * math.sqrt(
-        pair * alpha1 * (1.0 - fraction) / prior.beta
-    ) - t_eta
-    if criterion == Criterion.ALL_PROMISING:
-        prob = equicorr_max_cdf(EquicorrSpec(k=config.k, rho=rho, df=df), reach)
-    elif criterion == Criterion.ANY_PROMISING:
-        prob = equicorr_max_cdf(EquicorrSpec(k=1, rho=0.0, df=df), reach)
-    else:
-        raise DomainError(f"unknown criterion {criterion!r}")
-    return prob >= config.zeta - slack
+    return _design_met(q1, sum(arm_sizes), config, prior, criterion, slack)

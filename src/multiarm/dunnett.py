@@ -102,6 +102,15 @@ class FrequentistDesign:
         return len(self.n) - 1
 
 
+def _split(information: float, ratio: float, k: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Arm sizes, control first, giving each comparison ``information``
+    with control ``ratio`` times an experimental arm; rounded up to at
+    least one patient, and the fractional sizes they round."""
+    m = information * (1.0 + ratio) / ratio
+    fractional = (information * (1.0 + ratio),) + (m,) * k
+    return tuple(max(1, math.ceil(x - 1e-9)) for x in fractional), fractional
+
+
 def dunnett_critical(
     k: int,
     alpha: float,
@@ -150,10 +159,7 @@ def dunnett_design(config: DunnettConfig) -> FrequentistDesign:
     critical = equicorr_max_quantile(EquicorrSpec(k=config.k, rho=rho), 1.0 - config.alpha)
     z_power = normal_quantile(config.power)
     information = ((critical + z_power) * config.sigma / config.delta_star) ** 2
-    m = information * (1.0 + ratio) / ratio
-    m0 = information * (1.0 + ratio)
-    fractional = (m0,) + (m,) * config.k
-    n = tuple(max(1, math.ceil(x - 1e-9)) for x in fractional)
+    n, fractional = _split(information, ratio, config.k)
     return FrequentistDesign(critical=critical, n=n, fractional_n=fractional, rho=rho)
 
 
@@ -295,8 +301,5 @@ def per_pair_frequentist(
     information = (
         (normal_quantile(1.0 - alpha) + normal_quantile(power)) * sigma / delta_star
     ) ** 2
-    m = information * (1.0 + ratio) / ratio
-    m0 = information * (1.0 + ratio)
-    fractional = (m0,) + (m,) * k
-    n = tuple(max(1, math.ceil(x - 1e-9)) for x in fractional)
+    n, fractional = _split(information, ratio, k)
     return PairwiseDesign(n=n, fractional_n=fractional)

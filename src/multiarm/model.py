@@ -187,6 +187,9 @@ class TrialData:
         if len(self.n) < 2:
             raise DomainError("data must cover a control and at least one experimental arm")
         for j, (nj, mj, sj) in enumerate(zip(self.n, self.mean, self.ss)):
+            for field, x in (("mean", mj), ("ss", sj)):
+                if not math.isfinite(x):
+                    raise DomainError(f"arm {j}: {field} must be finite, got {x!r}")
             if nj < 0:
                 raise DomainError(f"arm {j}: sample size must be >= 0")
             if nj == 0:
@@ -214,10 +217,14 @@ class TrialData:
         if not (len(n) == len(mean) == len(sd)):
             raise DomainError("n, mean and sd must have equal length")
         ss = []
-        for nj, mj, sj in zip(n, mean, sd):
-            if sj < 0:
-                raise DomainError("standard deviations must be >= 0")
+        for j, (nj, mj, sj) in enumerate(zip(n, mean, sd)):
+            if not (0.0 <= sj < math.inf):
+                raise DomainError(f"arm {j}: sd must be finite and >= 0, got {sj!r}")
             ss.append((nj - 1) * sj * sj + nj * mj * mj if nj > 0 else 0.0)
+            if math.isinf(ss[-1]) and math.isfinite(mj):
+                raise DomainError(
+                    f"arm {j}: mean {mj!r} and sd {sj!r} give a sum of squares beyond the float range"
+                )
         return cls(n=n, mean=mean, ss=tuple(ss))
 
     @property

@@ -17,17 +17,8 @@ import numpy as np
 
 from .distributions import EquicorrSpec, normal_quantile
 from .exceptions import DomainError
-from .model import (
-    DesignConfig,
-    DesignResult,
-    Criterion,
-    GammaPrecision,
-    KnownPrecision,
-    PerArmPrecision,
-    PosteriorSummary,
-    PrecisionModel,
-)
-from .posterior import _joint_below_given_control
+from .model import DesignConfig, DesignResult, Criterion, PosteriorSummary, PrecisionModel
+from .posterior import _joint_below_given_control, _scaled_information
 
 __all__ = [
     "McConfig",
@@ -159,25 +150,19 @@ def posterior_probs(
     if any(math.isnan(c) for c in thresholds):
         raise DomainError("thresholds must not contain NaN")
     k = summary.k
-    if isinstance(precision, PerArmPrecision) and len(precision.v) != k + 1:
-        raise DomainError(f"per-arm precision has {len(precision.v)} entries, expected {k + 1}")
+    qv, df = _scaled_information(summary, precision)
     mean = np.asarray(summary.mean)
-    q = np.asarray(summary.information)
     rng = _generator(mc.seed)
     sup_acc = [_Accumulator() for _ in range(k)]
     any_acc = _Accumulator()
     below_acc = [_Accumulator() for _ in thresholds]
     for m in _pair_chunks(mc.n_draws, mc.antithetic):
         z = rng.standard_normal((m, k + 1))
-        if isinstance(precision, KnownPrecision):
-            sd = 1.0 / np.sqrt(q * precision.v)
-            sd = np.broadcast_to(sd, (m, k + 1))
-        elif isinstance(precision, PerArmPrecision):
-            sd = 1.0 / np.sqrt(q * np.asarray(precision.v))
-            sd = np.broadcast_to(sd, (m, k + 1))
+        if math.isinf(df):
+            sd = np.broadcast_to(1.0 / np.sqrt(qv), (m, k + 1))
         else:
-            v = rng.gamma(shape=precision.alpha, scale=1.0 / precision.beta, size=m)
-            sd = 1.0 / np.sqrt(q[None, :] * v[:, None])
+            w = rng.gamma(shape=0.5 * df, scale=2.0 / df, size=m)
+            sd = 1.0 / np.sqrt(qv[None, :] * w[:, None])
 
         def effect_draws(sign: float) -> np.ndarray:
             mu = mean[None, :] + sd * (sign * z)
@@ -239,8 +224,7 @@ def design_guarantee(
     q1 = q0 + np.asarray(design.n)
     pair = q1[1:] * q1[0] / (q1[1:] + q1[0])
     sd = 1.0 / np.sqrt(pair * v)
-    z_eta = normal_quantile(config.eta) if config.eta > 0.5 else 0.0
-    border = z_eta * sd
+    border = normal_quantile(config.eta) * sd
 
     weak = design.criterion == Criterion.ANY_PROMISING
     upper = border + (sd if weak else 0.0)

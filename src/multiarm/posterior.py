@@ -5,7 +5,10 @@ summary data, the posterior of each arm mean is normal with information
 ``q1 = q0 + n``. Three precision models are supported downstream: a
 known common precision, known arm-specific precisions, and a gamma
 posterior on an unknown common precision (which turns normal tails into
-Student tails).
+Student tails). Each reduces to two things: the per-arm information
+scaled by the response precision (the gamma law at its mean) and the
+degrees of freedom of the effect tails, inf for a known precision and
+2 alpha for a gamma one.
 
 The decision quantities are the per-arm probability of a worthwhile
 effect, the joint probability that every effect falls short of a
@@ -75,38 +78,43 @@ def update_posterior(priors: Sequence[ArmPrior], data: TrialData) -> PosteriorSu
     )
 
 
-def _check_precision(summary: PosteriorSummary, precision: PrecisionModel) -> None:
-    if isinstance(precision, PerArmPrecision) and len(precision.v) != summary.k + 1:
-        raise DomainError(
-            f"per-arm precision has {len(precision.v)} entries, expected {summary.k + 1}"
-        )
-    if not isinstance(precision, (KnownPrecision, PerArmPrecision, GammaPrecision)):
-        raise DomainError(f"unsupported precision model {precision!r}")
+def _scaled_information(
+    summary: PosteriorSummary, precision: PrecisionModel
+) -> tuple[np.ndarray, float]:
+    """Per-arm posterior information times the response precision, and the
+    degrees of freedom of the effect tails.
 
-
-def _pair_scale(summary: PosteriorSummary, precision: PrecisionModel, arm: int) -> float:
-    """Standard deviation scale of (mu_arm - mu_0) under the posterior,
-    with the gamma model evaluated at its mean precision."""
+    A gamma precision is taken at its mean; the actual precision is that
+    mean times a Gamma(df/2, df/2) variable, which turns normal tails into
+    Student ones with df = 2 alpha.
+    """
     if isinstance(precision, KnownPrecision):
-        return 1.0 / math.sqrt(summary.pair_information[arm - 1] * precision.v)
-    if isinstance(precision, PerArmPrecision):
-        var = (
-            1.0 / (summary.information[arm] * precision.v[arm])
-            + 1.0 / (summary.information[0] * precision.v[0])
-        )
-        return math.sqrt(var)
-    return 1.0 / math.sqrt(summary.pair_information[arm - 1] * precision.mean)
+        v, df = precision.v, math.inf
+    elif isinstance(precision, PerArmPrecision):
+        if len(precision.v) != summary.k + 1:
+            raise DomainError(
+                f"per-arm precision has {len(precision.v)} entries, expected {summary.k + 1}"
+            )
+        v, df = np.asarray(precision.v), math.inf
+    elif isinstance(precision, GammaPrecision):
+        v, df = precision.mean, 2.0 * precision.alpha
+    else:
+        raise DomainError(f"unsupported precision model {precision!r}")
+    return np.asarray(summary.information, dtype=float) * v, df
+
+
+def _difference_cdf(df: float, mean: float, qv: np.ndarray, a: int, b: int) -> float:
+    """P(mu_a - mu_b > 0) for a posterior difference with mean ``mean``."""
+    standardised = mean / math.sqrt(1.0 / qv[a] + 1.0 / qv[b])
+    return float(ndtr(standardised) if math.isinf(df) else stdtr(df, standardised))
 
 
 def prob_superior(summary: PosteriorSummary, precision: PrecisionModel, arm: int) -> float:
     """Posterior probability that experimental arm ``arm`` beats control."""
-    _check_precision(summary, precision)
+    qv, df = _scaled_information(summary, precision)
     if not (1 <= arm <= summary.k):
         raise DomainError(f"arm must name an experimental arm in 1..{summary.k}, got {arm}")
-    standardised = summary.effects[arm - 1] / _pair_scale(summary, precision, arm)
-    if isinstance(precision, GammaPrecision):
-        return float(stdtr(2.0 * precision.alpha, standardised))
-    return float(ndtr(standardised))
+    return _difference_cdf(df, summary.effects[arm - 1], qv, arm, 0)
 
 
 def _joint_below_given_control(
@@ -128,7 +136,7 @@ def prob_all_below(
     """Posterior probability that every experimental effect is below
     ``threshold``; the abandonment quantity when the threshold is the
     clinically worthwhile improvement."""
-    _check_precision(summary, precision)
+    qv, df = _scaled_information(summary, precision)
     threshold = float(threshold)
     if math.isnan(threshold):
         raise DomainError("threshold must not be NaN")
@@ -137,18 +145,15 @@ def prob_all_below(
 
     # Arm j's effect is below the threshold when, given the standardised
     # control mean U, its own standardised mean falls below a_j U + c_j.
-    # A gamma precision scales every c_j by sqrt(V).
-    gamma = isinstance(precision, GammaPrecision)
-    qv = np.asarray(summary.information, dtype=float) * (1.0 if gamma else np.asarray(precision.v))
+    # Finite df scales every c_j by sqrt(W), W ~ Gamma(df/2, df/2).
     slopes = np.sqrt(qv[1:] / qv[0])
     offsets = (threshold - np.asarray(summary.effects)) * np.sqrt(qv[1:])
-    if gamma:
-        value = gamma_sqrt_expect(
-            slopes, offsets, precision.alpha, precision.beta,
-            tol=tol, label="joint shortfall probability",
-        )
-    else:
+    if math.isinf(df):
         value = float(_joint_below_given_control(slopes, offsets, tol))
+    else:
+        value = gamma_sqrt_expect(
+            slopes, offsets, 0.5 * df, 0.5 * df, tol=tol, label="joint shortfall probability",
+        )
     return min(max(value, 0.0), 1.0)
 
 
@@ -169,25 +174,14 @@ def prob_pairwise_better(
     other: int,
 ) -> float:
     """Posterior probability that ``arm``'s mean exceeds ``other``'s."""
-    _check_precision(summary, precision)
+    qv, df = _scaled_information(summary, precision)
     k = summary.k
     for name, idx in (("arm", arm), ("other", other)):
         if not (0 <= idx <= k):
             raise DomainError(f"{name} must name an arm in 0..{k}, got {idx}")
     if arm == other:
         raise DomainError("pairwise comparison needs two distinct arms")
-    diff = summary.mean[arm] - summary.mean[other]
-    qa, qb = summary.information[arm], summary.information[other]
-    if isinstance(precision, KnownPrecision):
-        scale = math.sqrt((1.0 / qa + 1.0 / qb) / precision.v)
-        return float(ndtr(diff / scale))
-    if isinstance(precision, PerArmPrecision):
-        scale = math.sqrt(
-            1.0 / (qa * precision.v[arm]) + 1.0 / (qb * precision.v[other])
-        )
-        return float(ndtr(diff / scale))
-    scale = math.sqrt((1.0 / qa + 1.0 / qb) / precision.mean)
-    return float(stdtr(2.0 * precision.alpha, diff / scale))
+    return _difference_cdf(df, summary.mean[arm] - summary.mean[other], qv, arm, other)
 
 
 def decide(

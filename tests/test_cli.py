@@ -281,6 +281,36 @@ class TestBadInput:
         cfg = write_config(tmp_path, case_doc)
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key, arm, value, named", [
+        ("mean", 0, math.nan, "arm 0: mean"),
+        ("mean", 2, math.inf, "arm 2: mean"),
+        # Finite, but its sum of squares overflows.
+        ("mean", 1, 1e300, "arm 1: mean 1e+300"),
+        ("sd", 3, math.nan, "arm 3: sd"),
+    ])
+    def test_non_finite_data(self, tmp_path, case_doc, capsys, key, arm, value, named):
+        data = case_doc["data"]
+        if key == "sd":
+            data["sd"] = data.pop("se")
+        data[key][arm] = value
+        cfg = write_config(tmp_path, case_doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("design-known", "design", "sd"),
+        ("analyze", "analysis", "sd_threshold"),
+    ])
+    def test_integer_beyond_float_range(self, tmp_path, case_doc, capsys, command, section, key):
+        case_doc[section][key] = 10**400
+        cfg = write_config(tmp_path, case_doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config {section}/{key}: integer beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -192,6 +192,20 @@ def test_zero_information_design_collapses():
     assert d.total == 0
 
 
+def test_zero_target_without_any_prior_information():
+    cfg = DesignConfig(
+        k=2,
+        delta_star=1.0,
+        eta=0.5,
+        zeta=0.5,
+        priors=(ArmPrior(0.0),) * 3,
+        v=1.0,
+    )
+    d = optimal_design(cfg, C2)
+    assert d.total == 0
+    assert d.achieved_information == 0.0
+
+
 def test_criterion_mismatch_guard(two_config):
     with pytest.raises(DomainError):
         information_target(two_config, 3)

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from multiarm import datasets
+from multiarm.design_known import information_target, optimal_design
 from multiarm.design_unknown import (
     assured_criterion_met,
     assured_design,
@@ -115,6 +118,17 @@ class TestAssuredInformationTarget:
         hi = assured_information_target(500.0, dose_config, PrecisionPrior(1.0, 49.0, 0.95), C1)
         assert hi > lo
 
+    @pytest.mark.parametrize("criterion", [C1, C2])
+    @pytest.mark.parametrize("name", ["dose_config", "two_config"])
+    def test_known_precision_is_the_infinite_df_limit(self, request, name, criterion):
+        # A gamma prior of huge shape pins the precision at beta / alpha
+        # and sends df = 2 alpha1 to infinity.
+        config = request.getfixturevalue(name)
+        v = config.known_v()
+        prior = PrecisionPrior(1e9, 1e9 / v, 0.5)
+        assured = assured_information_target(300.0, config, prior, criterion)
+        assert assured == pytest.approx(information_target(config, criterion) / v, rel=1e-8)
+
     def test_rejects_bad_total(self, dose_config):
         prior = datasets.case_study_precision_prior()
         with pytest.raises(DomainError):
@@ -196,7 +210,92 @@ class TestAssuredCriterionMet:
         with pytest.raises(UnsupportedConfigurationError):
             assured_criterion_met((100,) * 5, lopsided, prior, C1)
 
+    def test_priors_covering_their_share(self):
+        # Experimental priors exceed their share at the fixed point of the
+        # unclamped total (n = 0), so the design must be solved at the
+        # total it actually enrols, where the target is larger.
+        priors = (ArmPrior(0.0, 0.0), ArmPrior(1.0, 3.0), ArmPrior(1.0, 3.0))
+        config = DesignConfig(k=2, delta_star=0.5, eta=0.5, zeta=0.5, priors=priors)
+        prior = PrecisionPrior(1.0, 1.0, 0.75)
+        d = assured_design(config, prior, C1)
+        assert d.n == (6, 1, 1)
+        assert assured_criterion_met(d.n, config, prior, C1)
+        assert not assured_criterion_met((3, 0, 0), config, prior, C1)
+
+    @pytest.mark.parametrize("control", [0.0, 5e-324])
+    def test_no_control_information(self, control):
+        # eta = zeta = 1/2 with a one-arm max needs no information at all;
+        # with (almost) none on control the effects move as one statistic.
+        priors = (ArmPrior(0.0, control), ArmPrior(1.0, 1.0), ArmPrior(1.0, 1.0))
+        config = DesignConfig(k=2, delta_star=1.0, eta=0.5, zeta=0.5, priors=priors)
+        prior = PrecisionPrior(1.0, 1.0, 0.5)
+        d = assured_design(config, prior, C2)
+        assert d.total == 0
+        assert assured_criterion_met(d.n, config, prior, C2)
+        assert assured_criterion_met(d.n, config, prior, C1)
+
+    def test_dust_target_without_priors(self):
+        # zeta one ulp above 1/2 leaves a target far below the float dust
+        # the rounding forgives, so every share rounds to nobody; with no
+        # prior information control must recruit for any comparison to
+        # carry information.
+        priors = (ArmPrior(0.0, 0.0), ArmPrior(1.0, 0.0))
+        config = DesignConfig(
+            k=1, delta_star=1.0, eta=0.5, zeta=math.nextafter(0.5, 1.0), priors=priors, v=1.0
+        )
+        known = optimal_design(config, C1)
+        assert known.n == (1, 1)
+        assert known.achieved_information >= information_target(config, C1)
+        prior = PrecisionPrior(1.0, 1.0, 0.5)
+        assured = assured_design(config, prior, C1)
+        assert assured_criterion_met(assured.n, config, prior, C1)
+
+    @pytest.mark.parametrize(
+        "k,delta_star,arm_information,assurance",
+        [
+            # Enrolling the rounded total needs more than the fractional one.
+            (4, 1.625, 1.0, 0.875),
+            # Rounding leaves the effects less correlated than the allocation.
+            (2, 0.5, 0.5, 0.5),
+        ],
+    )
+    def test_rounded_design_meets_its_criterion(self, k, delta_star, arm_information, assurance):
+        priors = (ArmPrior(0.0, 1.0),) + (ArmPrior(1.0, arm_information),) * k
+        config = DesignConfig(k=k, delta_star=delta_star, eta=0.5, zeta=0.5, priors=priors, v=1.0)
+        prior = PrecisionPrior(1.0, 1.0, assurance)
+        d = assured_design(config, prior, C1)
+        assert assured_criterion_met(d.n, config, prior, C1)
+
     def test_size_guard(self, dose_config):
         prior = datasets.case_study_precision_prior()
         with pytest.raises(DomainError):
             assured_criterion_met((100, 100), dose_config, prior, C1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    eta=st.floats(0.5, 0.99, exclude_max=True),
+    zeta=st.floats(0.5, 0.99, exclude_max=True),
+    allocation=st.none() | st.floats(0.25, 4.0),
+    control_information=st.floats(0.0, 20.0),
+    arm_information=st.floats(0.0, 10.0),
+    delta_over_sd=st.floats(0.1, 2.0),
+    shape=st.floats(1.0, 4.0),
+    assurance=st.floats(0.5, 0.95),
+    criterion=st.sampled_from([C1, C2]),
+)
+def test_designs_meet_their_criteria(
+    k, eta, zeta, allocation, control_information, arm_information, delta_over_sd,
+    shape, assurance, criterion,
+):
+    priors = (ArmPrior(0.0, control_information),) + (ArmPrior(1.0, arm_information),) * k
+    config = DesignConfig(
+        k=k, delta_star=delta_over_sd, eta=eta, zeta=zeta, priors=priors, v=1.0,
+        allocation=allocation,
+    )
+    known = optimal_design(config, criterion)
+    assert known.achieved_information >= information_target(config, criterion) * (1.0 - 1e-12)
+    prior = PrecisionPrior(shape, shape, assurance)
+    assured = assured_design(config, prior, criterion)
+    assert assured_criterion_met(assured.n, config, prior, criterion)

@@ -2,7 +2,10 @@
 
 Every subcommand runs in process on both bundled configurations, with
 each ``--criterion`` where it applies and ``analyze`` with and without a
-seed. Reports must match the stored files byte for byte; in the CSV
+seed. ``tests/configs/three_arm.json`` adds the sizing and analysis paths
+those two miss: k = 3, an explicit allocation, eta = 0.5, unequal
+experimental priors (so the direct assured check is skipped), assurance
+0.8 and data given as standard deviations. Reports must match the stored files byte for byte; in the CSV
 files, text cells must be equal and numeric cells agree within
 ``math.isclose(rel_tol=1e-12, abs_tol=1e-15)``. Exit codes and error
 messages of the combinations that fail by design are stored too.
@@ -57,6 +60,13 @@ def _cases() -> dict[str, list[str]]:
         "analyze", "--config", "configs/case_study.json", "--format", "report",
     ]
     cases["reproduce-tables"] = ["reproduce-tables"]
+    path = "tests/configs/three_arm.json"
+    for criterion in ("1", "2"):
+        for command in ("design-known", "design-unknown"):
+            cases[f"three_arm-{command}-c{criterion}"] = [
+                command, "--config", path, "--criterion", criterion,
+            ]
+    cases["three_arm-analyze"] = ["analyze", "--config", path]
     return cases
 
 
@@ -65,7 +75,7 @@ CASES = _cases()
 
 def run_case(argv: list[str], out: Path) -> tuple[int, str, dict[str, str]]:
     """Exit code, stderr and the written files of one CLI run."""
-    args = [a if not a.startswith("configs/") else str(ROOT / a) for a in argv]
+    args = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([*args, "--out", str(out)])

@@ -109,6 +109,27 @@ class TestTrialData:
         with pytest.raises(DataInconsistencyError):
             TrialData(n=(5, 5), mean=(2.0, 0.0), ss=(19.0, 0.0))
 
+    @pytest.mark.parametrize("mean, ss, match", [
+        ((math.nan, 1.0), (5.0, 5.0), "arm 0: mean must be finite"),
+        ((0.0, -math.inf), (5.0, 5.0), "arm 1: mean must be finite"),
+        ((0.0, 1.0), (5.0, math.inf), "arm 1: ss must be finite"),
+    ])
+    def test_rejects_non_finite(self, mean, ss, match):
+        with pytest.raises(DomainError, match=match):
+            TrialData(n=(5, 5), mean=mean, ss=ss)
+
+    @pytest.mark.parametrize("mean, sd, match", [
+        ((math.nan, 1.0, 2.0), (1.0, 1.0, 1.0), "arm 0: mean must be finite"),
+        ((0.0, 1.0, 2.0), (1.0, 1.0, math.nan), "arm 2: sd must be finite"),
+        ((0.0, 1.0, 2.0), (1.0, math.inf, 1.0), "arm 1: sd must be finite"),
+        # Finite inputs whose sum of squares overflows to inf.
+        ((0.0, 1e300, 2.0), (1.0, 1.0, 1.0), r"arm 1: mean 1e\+300 and sd 1.0"),
+        ((0.0, 1.0, 2.0), (1.0, 1.0, 1e200), r"arm 2: mean 2.0 and sd 1e\+200"),
+    ])
+    def test_from_moments_rejects_non_finite(self, mean, sd, match):
+        with pytest.raises(DomainError, match=match):
+            TrialData.from_moments(n=(5, 5, 5), mean=mean, sd=sd)
+
     def test_sample_variance_needs_two_observations(self):
         data = TrialData(n=(1, 5), mean=(2.0, 1.0), ss=(4.0, 9.0))
         with pytest.raises(DomainError):
