@@ -8,6 +8,10 @@ are smooth (products of normal CDFs and densities), so doubling
 converges fast and gives a usable error estimate for free.
 ``normal_expect`` is E[prod_j Phi(a_j U + c_j)] for U ~ N(0, 1), and
 ``gamma_sqrt_expect`` mixes the same product over a gamma precision.
+Either can also return, from the same nodes, the derivative with respect
+to a common shift of every offset, and either can run once on a fixed
+node count instead of refining (what a Newton solve on a smooth rule
+needs).
 
 Mixing over V ~ Gamma(shape, rate) is one tensor rule on (t, u), where
 t = log(rate * V / shape) is the log-precision centred on the log of its
@@ -95,13 +99,55 @@ def refine(
     )
 
 
+def _integrate(
+    evaluate: Callable[[int], np.ndarray],
+    *,
+    tol: float,
+    label: str,
+    density: bool,
+    nodes: int | None,
+) -> float | np.ndarray | tuple:
+    """Refine ``evaluate``, or run it once on the fixed ``nodes``-point rule.
+
+    With ``density``, ``evaluate`` stacks the value and its derivative on
+    the first axis: the error estimate judges the value alone, and the
+    result is (value, derivative, node count of the rule used).
+    """
+    if nodes is not None:
+        out = evaluate(nodes)
+    elif not density:
+        return refine(evaluate, tol=tol, label=label)
+    else:
+        out = None
+
+        def value(n: int) -> np.ndarray:
+            nonlocal nodes, out
+            nodes, out = n, evaluate(n)
+            return out[0]
+
+        refine(value, tol=tol, label=label)
+    return (out[0], out[1], nodes) if density else out
+
+
+def _product_rule(factors: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Derivative of the product of ``factors`` over axis 1, given each
+    factor's own derivative in ``slopes``."""
+    prod, deriv = factors[:, 0], slopes[:, 0]
+    for j in range(1, factors.shape[1]):
+        deriv = deriv * factors[:, j] + prod * slopes[:, j]
+        prod = prod * factors[:, j]
+    return deriv
+
+
 def normal_expect(
     slopes: np.ndarray,
     offsets: np.ndarray,
     *,
     tol: float,
     label: str = "normal expectation",
-) -> float | np.ndarray:
+    density: bool = False,
+    nodes: int | None = None,
+) -> float | np.ndarray | tuple:
     """E[prod_j Phi(slopes_j * U + offsets_j)] for U ~ N(0, 1).
 
     ``offsets`` is (k,), giving one value, or (rows, k), giving one value
@@ -114,12 +160,21 @@ def normal_expect(
     exceeds ``_STEEP``, each row's window is cut into three panels at the
     transition u* = -c/a of its steepest factor, u* +- GAUSS_TAIL / |a|
     (clipped to the window), with n nodes in each panel.
+
+    An infinite offset pins its factor at 1 (+inf) or 0 (-inf) for every
+    u; a flat factor at offset +-40 rounds to exactly that. ``density``
+    and ``nodes`` are those of ``_integrate``; the derivative is with
+    respect to h in Phi(slopes_j * U + offsets_j + h), at h = 0.
     """
     c = np.asarray(offsets, dtype=float)
     scalar = c.ndim == 1
     c = c.reshape(-1, c.shape[-1])
     a = np.empty_like(c)
     a[...] = slopes
+    pinned = np.isinf(c)
+    if pinned.any():
+        a[pinned] = 0.0
+        c = np.where(pinned, np.copysign(40.0, c), c)
     rows, k = c.shape
     tail = a * (c < 0.0)
     mode = (tail * c).sum(axis=1) / -(1.0 + (tail * tail).sum(axis=1))
@@ -141,15 +196,24 @@ def normal_expect(
         x, w = legendre_rule(-1.0, 1.0, n)
         u = (mid + half * x).reshape(rows, -1)
         weight = (mass * w).reshape(-1, u.shape[1]) * np.exp(-0.5 * u * u)
-        out = np.empty(rows)
+        out = np.empty((1 + density, rows))
         step = max(1, _BLOCK // (k * u.shape[1]))
         for r in range(0, rows, step):
             s = slice(r, r + step)
-            out[s] = np.einsum("rn,rn->r", ndtr(a[s] * u[s, None] + c[s]).prod(axis=1), weight[s])
-        return out
+            if not density:
+                out[0, s] = np.einsum("rn,rn->r", ndtr(a[s] * u[s, None] + c[s]).prod(axis=1), weight[s])
+                continue
+            z = a[s] * u[s, None] + c[s]
+            factors = ndtr(z)
+            out[0, s] = np.einsum("rn,rn->r", factors.prod(axis=1), weight[s])
+            pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
+            out[1, s] = np.einsum("rn,rn->r", _product_rule(factors, pdf), weight[s])
+        return out if density else out[0]
 
-    values = refine(evaluate, tol=tol, label=label)
-    return values[0] if scalar else values
+    result = _integrate(evaluate, tol=tol, label=label, density=density, nodes=nodes)
+    if not scalar:
+        return result
+    return (result[0][0], result[1][0], result[2]) if density else result[0]
 
 
 def _log_gamma_domain(shape: float) -> tuple[float, float]:
@@ -176,7 +240,9 @@ def gamma_sqrt_expect(
     *,
     tol: float,
     label: str = "gamma expectation",
-) -> float:
+    density: bool = False,
+    nodes: int | None = None,
+) -> float | tuple[float, float, int]:
     """E[prod_j Phi(slopes_j * U + offsets_j * sqrt(V))] for U ~ N(0, 1)
     independent of V ~ Gamma(shape, rate).
 
@@ -184,6 +250,12 @@ def gamma_sqrt_expect(
     share a (slope, offset) pair are evaluated once and raised to their
     multiplicity; the product over arms accumulates in one buffer of at
     most ``_BLOCK`` entries, filled a block of t rows at a time.
+    ``density`` and ``nodes`` are those of ``_integrate``; the derivative
+    is with respect to h in Phi(slopes_j * U + (offsets_j + h) * sqrt(V)),
+    at h = 0. A pair of multiplicity m contributes m phi Phi**(m-1)
+    sqrt(V) to it, so Phi**(m-1) is formed once and gives Phi**m too; the
+    derivative of the product accumulates by the product rule in buffers
+    of the same size.
     """
     pairs, counts = np.unique(
         np.column_stack([np.ravel(slopes), np.ravel(offsets)]), axis=0, return_counts=True
@@ -198,21 +270,38 @@ def gamma_sqrt_expect(
         w_u = w_u * np.exp(-0.5 * u * u)
         s = scale * np.exp(0.5 * t)
         rows = min(n, _BLOCK // n)
-        prod = np.empty((rows, n))
-        term = np.empty_like(prod)
-        total = 0.0
+        # Value and derivative accumulators, a term of each, and Phi**(m-1);
+        # without the density the last three are never touched.
+        buffers = np.empty((5, rows, n))
+        total = np.zeros(2)
         for r in range(0, n, rows):
             block = s[r:r + rows]
-            acc, tmp = prod[:block.size], term[:block.size]
+            acc, tmp, dacc, dtmp, lower = buffers[:, :block.size]
             for j, ((a, c), m) in enumerate(zip(pairs, counts)):
                 out = acc if j == 0 else tmp
                 np.add.outer(c * block, a * u, out=out)
+                if density:
+                    dout = dacc if j == 0 else dtmp
+                    np.multiply(out, -0.5 * out, out=dout)
+                    np.exp(dout, out=dout)
+                    dout *= (m / _SQRT_2PI) * block[:, None]
                 ndtr(out, out=out)
-                if m > 1:
+                if m > 1 and density:
+                    np.power(out, m - 1, out=lower)
+                    dout *= lower
+                    out *= lower
+                elif m > 1:
                     np.power(out, m, out=out)
                 if j > 0:
+                    if density:
+                        dacc *= tmp
+                        dtmp *= acc
+                        dacc += dtmp
                     acc *= tmp
-            total += w_t[r:r + rows] @ acc @ w_u
-        return float(total / (w_t.sum() * w_u.sum()))
+            total[0] += w_t[r:r + rows] @ acc @ w_u
+            if density:
+                total[1] += w_t[r:r + rows] @ dacc @ w_u
+        total /= w_t.sum() * w_u.sum()
+        return total if density else float(total[0])
 
-    return refine(evaluate, tol=tol, label=label)
+    return _integrate(evaluate, tol=tol, label=label, density=density, nodes=nodes)

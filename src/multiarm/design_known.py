@@ -57,12 +57,15 @@ def _criterion_arms(config: DesignConfig, criterion: Criterion) -> int:
     raise DomainError(f"unknown criterion {criterion!r}")
 
 
-def _standard_target(config: DesignConfig, criterion: Criterion, df: float) -> float:
+def _standard_target(
+    config: DesignConfig, criterion: Criterion, df: float, start: float | None = None
+) -> float:
     """Pairwise information target in standardised units (patients times
     the response precision) when effect tails have ``df`` degrees of
-    freedom, inf for normal tails."""
+    freedom, inf for normal tails; ``start`` is a first guess at the max
+    quantile."""
     spec = EquicorrSpec(k=_criterion_arms(config, criterion), rho=config.rho, df=df)
-    reach = t_quantile(df, config.eta) + equicorr_max_quantile(spec, config.zeta)
+    reach = t_quantile(df, config.eta) + equicorr_max_quantile(spec, config.zeta, start=start)
     return (reach / config.delta_star) ** 2
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy.optimize import brentq
 from scipy.special import gammainc
 
 from .design_known import (
@@ -55,6 +54,11 @@ __all__ = [
     "assured_design",
     "assured_criterion_met",
 ]
+
+# The assurance fixed point: the relative step that ends it, and the most
+# steps it may take.
+_FIXED_POINT_RTOL = 1e-9
+_FIXED_POINT_STEPS = 100
 
 
 def update_precision(
@@ -119,16 +123,22 @@ def _assured_variance(n_total: float, prior: PrecisionPrior) -> tuple[float, flo
 
     The share of the posterior precision owed to the data is a
     Beta(n/2, alpha0) variable; the design counts on its assurance quantile.
+    The rest of the precision, one minus that share, is a Beta(alpha0, n/2)
+    variable, and its lower quantile is taken directly: one minus a share
+    near 1 would lose digits to cancellation (about 1e-12 relative at
+    n = 4000, 1e-10 at n = 2e5) and make the target jitter with n.
     """
     if not (0.0 <= n_total < math.inf):
         raise DomainError(f"n_total must be a finite nonnegative number, got {n_total!r}")
-    fraction = beta_quantile(0.5 * n_total, prior.alpha, prior.assurance) if n_total > 2e-12 else 0.0
-    if 1.0 - fraction < 1e-12:
+    rest = beta_quantile(prior.alpha, 0.5 * n_total, 1.0 - prior.assurance) if n_total > 2e-12 else 1.0
+    if rest < 1e-12:
         raise InfeasibleDesignError(
-            f"assurance {prior.assurance!r} leaves no precision budget at n={n_total!r}"
+            f"assurance {prior.assurance!r} leaves no precision budget at n={n_total!r}: "
+            f"with prior shape alpha={prior.alpha!r} the share of the precision not owed "
+            f"to the data is only {rest:.3g} at that assurance"
         )
     alpha1 = prior.alpha + 0.5 * n_total
-    return prior.beta / (alpha1 * (1.0 - fraction)), 2.0 * alpha1
+    return prior.beta / (alpha1 * rest), 2.0 * alpha1
 
 
 def assured_information_target(
@@ -136,16 +146,19 @@ def assured_information_target(
     config: DesignConfig,
     prior: PrecisionPrior,
     criterion: Criterion,
+    *,
+    start: float | None = None,
 ) -> float:
     """Pairwise information (patient-equivalents) required if the trial
     ends up with ``n_total`` observations in all.
 
     Unlike the known-precision target this is already in patient units;
     the prior's scale substitutes for the unknown precision and the
-    assurance level inflates it through a beta quantile.
+    assurance level inflates it through a beta quantile. ``start`` is a
+    first guess at the Student max quantile behind the target.
     """
     variance, df = _assured_variance(n_total, prior)
-    return variance * _standard_target(config, criterion, df)
+    return variance * _standard_target(config, criterion, df, start=start)
 
 
 def assured_design(
@@ -155,49 +168,61 @@ def assured_design(
 ) -> DesignResult:
     """Solve the self-consistent sample size under precision uncertainty.
 
-    Plain iteration of "total required at total n" converges in a handful
-    of steps for realistic inputs; a damped phase and a bracketed root
-    fallback cover the rest. The fractional solution is then split across
+    The total n solves n = R(n), R(n) being the total "required at total
+    n". R is nearly flat (the target moves with n only through the
+    Student df and the beta quantile), so the solve starts at the
+    known-precision total under the prior-mean precision, where the df is
+    already usable, and takes one plain step R(n) to find the other side
+    of the root. Secant steps on n - R(n) follow inside the bracket,
+    bisecting it when a step would leave it, until a step falls below
+    ``_FIXED_POINT_RTOL`` relative, far above the rounding noise of R.
+    The target of that last iterate sizes the design. Each step passes
+    the previous Student max quantile on as the next quantile solve's
+    start. The fractional solution is then split across
     arms at the configured allocation and rounded up per arm, and resized
     at the enrolled total should that total need more.
     """
-    r = config.allocation_ratio
-    k = config.k
-    factor = (1.0 + r) * (1.0 + k / r)
     q0 = [p.information for p in config.priors]
-    sum_q0 = sum(q0)
+    quantile = None
 
-    def required_total(n: float) -> float:
-        target = assured_information_target(n, config, prior, criterion)
-        # Arms whose priors exceed their share recruit nobody; their
-        # excess is added back so the total is the one actually enrolled.
-        excess = sum(max(q - s, 0.0) for q, s in zip(q0, _shares(config, target)))
-        return factor * target - sum_q0 + excess
+    def enrolled(target: float) -> float:
+        # Arms whose priors exceed their share recruit nobody.
+        return sum(max(s - q, 0.0) for s, q in zip(_shares(config, target), q0))
 
-    n = max(required_total(0.0), 0.0)
-    converged = False
-    for iteration in range(500):
-        proposal = max(required_total(n), 0.0)
-        step = proposal - n
-        if abs(step) <= 1e-9 * max(1.0, abs(n)):
-            n = proposal
-            converged = True
-            break
-        n = max(n + (0.5 * step if iteration >= 50 else step), 0.0)
-    if not converged:
-        lo, hi = 0.0, max(n, 1.0)
-        for _ in range(80):
-            if hi - required_total(hi) > 0.0:
-                break
-            hi *= 2.0
+    def required_total(n: float) -> tuple[float, float]:
+        # The Student max quantile behind each target, read back from it,
+        # starts the next step's quantile solve: df moves little per step.
+        nonlocal quantile
+        target = assured_information_target(n, config, prior, criterion, start=quantile)
+        variance, df = _assured_variance(n, prior)
+        quantile = config.delta_star * math.sqrt(target / variance) - t_quantile(df, config.eta)
+        return enrolled(target), target
+
+    n = enrolled(_standard_target(config, criterion, math.inf) * prior.beta / prior.alpha)
+    lo, hi, previous = 0.0, math.inf, None
+    for _ in range(_FIXED_POINT_STEPS):
+        total, target = required_total(n)
+        # n - R(n) is negative below the root and positive above it.
+        gap = n - total
+        if gap <= 0.0:
+            lo = n
+        if gap >= 0.0:
+            hi = n
+        if previous is None or gap == previous[1]:
+            proposal = total
         else:
-            raise NumericError("assured design: no bracket for the fixed point")
-        n = brentq(lambda m: m - required_total(m), lo, hi, xtol=1e-9)
+            proposal = n - gap * (n - previous[0]) / (gap - previous[1])
+        if not (lo < proposal < hi):
+            proposal = 0.5 * (lo + hi) if hi < math.inf else total
+        if abs(proposal - n) <= _FIXED_POINT_RTOL * max(1.0, n):
+            break
+        previous, n = (n, gap), proposal
+    else:
+        raise NumericError(f"assured design: no fixed point within {_FIXED_POINT_STEPS} steps")
 
     # Rounding up enrols more than the fractional total, which at small
     # totals needs more information, and moves the effect correlation off
     # the allocation's; add patients until the design meets its criterion.
-    target = assured_information_target(n, config, prior, criterion)
     for _ in range(100):
         design = _allocate(config, criterion, target, 1.0)
         q1 = [p.information + nj for p, nj in zip(config.priors, design.n)]

@@ -1,13 +1,14 @@
 """Precision updating and assured sample sizes under a gamma prior."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from multiarm import datasets
+from multiarm import datasets, design_unknown
 from multiarm.design_known import information_target, optimal_design
 from multiarm.design_unknown import (
     assured_criterion_met,
@@ -185,6 +186,35 @@ class TestAssuredDesign:
     def test_infeasible_assurance(self, dose_config):
         with pytest.raises(InfeasibleDesignError):
             assured_design(dose_config, PrecisionPrior(1.0, 49.0, 1.0 - 1e-12), C1)
+
+    def test_tiny_prior_shape_fails_fast(self, dose_config):
+        # Shape 0.05 assures the prior's share of the precision only down
+        # to 6e-29 at the known-precision total (n = 202), less beyond it:
+        # no total meets the target, and the solve must say so rather than
+        # integrate at df = 0.1.
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleDesignError, match=r"alpha=0\.05"):
+            assured_design(dose_config, PrecisionPrior(alpha=0.05, beta=2.45, assurance=0.95), C1)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "k,delta_star,control,arm",
+        [(8, 0.3, 128873, 45564), (5, 0.5, 35040, 15671)],
+    )
+    def test_shape_half_fixed_point(self, monkeypatch, k, delta_star, control, arm):
+        # Prior shape 0.5 and no prior information: plain iteration used to
+        # cycle at the noise of the beta quantile for 54 target evaluations.
+        calls = []
+        target = design_unknown.assured_information_target
+        monkeypatch.setattr(
+            design_unknown, "assured_information_target",
+            lambda *args, **kwargs: calls.append(args[0]) or target(*args, **kwargs),
+        )
+        priors = (ArmPrior(0.0, 0.0),) * (k + 1)
+        config = DesignConfig(k=k, delta_star=delta_star, eta=0.9, zeta=0.9, priors=priors, v=1.0)
+        d = assured_design(config, PrecisionPrior(0.5, 0.5, 0.95), C1)
+        assert d.n == (control,) + (arm,) * k
+        assert len(calls) <= 10
 
 
 class TestAssuredCriterionMet:

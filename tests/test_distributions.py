@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr, stdtr
 
@@ -205,3 +207,57 @@ def test_extreme_correlation_against_mpmath(rho, mp_normal_expect):
     want = mp_normal_expect([-math.sqrt(rho) / sq_comp] * 3, [1.0 / sq_comp] * 3)
     assert value == pytest.approx(want, abs=1e-12)
     assert elapsed < 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    rho=st.floats(0.0, 0.95),
+    df=st.just(math.inf) | st.floats(0.0, 6.0).map(lambda e: 10.0 ** e),
+    p=st.floats(0.5, 0.99),
+)
+def test_quantile_solves_to_rounding(k, rho, df, p):
+    spec = EquicorrSpec(k, rho, df)
+    x = equicorr_max_quantile(spec, p)
+    assert equicorr_max_cdf(spec, x, tol=1e-13) == pytest.approx(p, abs=1e-12)
+
+
+def test_quantile_beyond_the_old_root_tolerance():
+    # A root accurate only to 1e-10 in x (1.4663213607712244) leaves a
+    # CDF residual of 6.8e-12 here.
+    spec = EquicorrSpec(8, 0.7657305928791425, 1216.54549319425)
+    x = equicorr_max_quantile(spec, 0.8)
+    assert x == pytest.approx(1.4663213607487326, abs=1e-14)
+    assert equicorr_max_cdf(spec, x, tol=1e-13) == pytest.approx(0.8, abs=1e-13)
+
+
+@pytest.mark.parametrize("df", [math.inf, 12.0])
+def test_quantile_ignores_its_start(df):
+    spec = EquicorrSpec(5, 0.4, df)
+    x = equicorr_max_quantile(spec, 0.9)
+    for start in (x - 0.05, x + 1e-6, 100.0, -100.0):
+        assert equicorr_max_quantile(spec, 0.9, start=start) == pytest.approx(x, abs=1e-14)
+
+
+@pytest.mark.parametrize("df", [math.inf, 7.0])
+@pytest.mark.parametrize("k,rho,x", [(3, 0.4, 1.2), (6, 0.8, 0.3), (2, 0.1, -0.5)])
+def test_density_matches_central_difference(k, rho, df, x):
+    spec = EquicorrSpec(k, rho, df)
+    cdf, pdf, nodes = equicorr_max_cdf(spec, x, density=True)
+    assert cdf == pytest.approx(equicorr_max_cdf(spec, x), abs=1e-15)
+    assert nodes >= 128
+    h = 1e-4
+    central = (equicorr_max_cdf(spec, x + h, tol=1e-13) - equicorr_max_cdf(spec, x - h, tol=1e-13)) / (2 * h)
+    assert pdf == pytest.approx(central, abs=1e-8)
+
+
+@pytest.mark.parametrize("df", [math.inf, 0.5, 7.0, 1e6])
+def test_density_closed_forms(df):
+    for x in (-2.0, 0.3, 1.7):
+        cdf, pdf, nodes = equicorr_max_cdf(EquicorrSpec(1, 0.6, df), x, density=True)
+        assert nodes is None
+        assert pdf == pytest.approx(stats.t.pdf(x, df) if math.isfinite(df) else stats.norm.pdf(x), rel=1e-12)
+    for x in (-2.0, 0.3, 1.7):
+        _, pdf, _ = equicorr_max_cdf(EquicorrSpec(4, 0.0), x, density=True)
+        assert pdf == pytest.approx(4.0 * stats.norm.pdf(x) * ndtr(x) ** 3, rel=1e-11)
+    assert equicorr_max_cdf(EquicorrSpec(3, 0.2, df), math.inf, density=True) == (1.0, 0.0, None)

@@ -2,6 +2,7 @@
 shared-control normal kernel and the gamma mixing rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,52 @@ def test_normal_expect_closed_forms():
         value = _quad.normal_expect(np.array([a]), np.array([c]), tol=1e-13)
         want = ndtr(c / math.sqrt(1.0 + a * a))
         assert value == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+
+def test_normal_expect_infinite_offsets():
+    # +inf pins a factor at 1 and -inf at 0, with no NaN on the way:
+    # E[Phi(-U + 0.3)] = Phi(0.3 / sqrt(2)).
+    slopes = np.array([-1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _quad.normal_expect(slopes, np.array([math.inf, 0.3]), tol=1e-10)
+        assert value == pytest.approx(ndtr(0.3 / math.sqrt(2.0)), rel=1e-12)
+        assert _quad.normal_expect(slopes, np.array([-math.inf, 0.3]), tol=1e-10) == 0.0
+        batch = _quad.normal_expect(
+            np.array([2.0, 0.5]), np.array([[math.inf, math.inf], [0.4, -math.inf]]), tol=1e-10
+        )
+        assert batch[0] == pytest.approx(1.0, abs=1e-12) and batch[1] == 0.0
+
+
+_SLOPES = np.array([0.4, 0.4, -1.1])
+_OFFSETS = np.array([0.7, 0.7, 1.3])
+_KERNELS = {
+    "normal": _quad.normal_expect,
+    "gamma": lambda a, c, **kw: _quad.gamma_sqrt_expect(a, c, 3.0, 2.0, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_density_is_the_common_offset_derivative(name):
+    # Two distinct arms, one repeated: the product rule runs across arms
+    # and the repeated arm's power. Central differences with h = 1e-4 are
+    # good to about 1e-9.
+    kernel = _KERNELS[name]
+    value, deriv, nodes = kernel(_SLOPES, _OFFSETS, tol=1e-12, density=True)
+    assert value == pytest.approx(kernel(_SLOPES, _OFFSETS, tol=1e-12), abs=1e-15)
+    h = 1e-4
+    central = (kernel(_SLOPES, _OFFSETS + h, tol=1e-13) - kernel(_SLOPES, _OFFSETS - h, tol=1e-13)) / (2 * h)
+    assert deriv == pytest.approx(central, abs=1e-8)
+    assert kernel(_SLOPES, _OFFSETS, tol=1e-12, density=True, nodes=nodes) == (value, deriv, nodes)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_fixed_rule_is_one_evaluation(name, monkeypatch):
+    kernel = _KERNELS[name]
+    rules, rule = [], _quad.legendre_rule
+    monkeypatch.setattr(_quad, "legendre_rule", lambda a, b, n: rules.append(n) or rule(a, b, n))
+    kernel(_SLOPES, _OFFSETS, tol=1e-12, nodes=128)
+    assert set(rules) == {128}
 
 
 # Correlations up to 1 - 1e-9: slopes of -sqrt(rho / (1 - rho)) up to 3e4.
