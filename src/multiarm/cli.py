@@ -353,18 +353,12 @@ def _design_unknown(doc: dict, args: argparse.Namespace) -> _Output:
     )
     criterion = Criterion(args.criterion)
     design = assured_design(config, prior, criterion)
-    try:
-        met = assured_criterion_met(design.n, config, prior, criterion)
-    except UnsupportedConfigurationError:
-        met = None
+    met = assured_criterion_met(design.n, config, prior, criterion)
 
     rows, lines = _sizing(criterion, design, "pairwise information", "patients",
                           rows=[("criterion_met", "", met)],
                           lines=[f"assurance level: {_r(prior.assurance)}"])
-    if met is None:
-        lines.append("direct criterion check: skipped (unequal treatment priors)")
-    else:
-        lines.append(f"direct criterion check: {'met' if met else 'NOT met'}")
+    lines.append(f"direct criterion check: {'met' if met else 'NOT met'}")
     resolved = {
         "criterion": criterion.value,
         "design": _resolved_design(config),

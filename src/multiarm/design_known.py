@@ -26,7 +26,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr, stdtr
 
+from ._quad import gamma_sqrt_expect, normal_expect
 from .distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile, t_quantile
 from .exceptions import DomainError, NumericError, UnsupportedConfigurationError
 from .model import Criterion, DesignConfig, DesignResult
@@ -40,6 +42,11 @@ __all__ = [
     "BoundaryCurve",
     "boundary_curve",
 ]
+
+
+# The worst-case kernel's tolerance, and the quadrature error a check forgives.
+_TOL = 1e-10
+_SLACK = 1e-9
 
 
 def _ceil_count(x: float) -> int:
@@ -133,6 +140,46 @@ def _allocate(config: DesignConfig, criterion: Criterion, target: float, v: floa
     )
 
 
+def _worst_case_shortfall(
+    q1: np.ndarray, config: DesignConfig, criterion: Criterion, df: float, variance: float
+) -> float | np.ndarray:
+    """Abandonment probability P(all effects < delta_star) at the worst
+    data on which no arm is promising, for posterior information ``q1``
+    (control first; one design or a batch of rows) at response
+    ``variance`` and effect tails of ``df`` degrees of freedom.
+
+    It falls as any estimate rises, so the worst data put each estimate
+    at its promising threshold t_df(eta) sqrt(variance / pair_j): one
+    kernel call with slopes sqrt(q1_j / q1_0) and offsets
+    delta_star sqrt(q1_j / variance) - t_df(eta) sqrt(1 + q1_j / q1_0).
+    A max over one arm, or no control information (the effects then move
+    as one statistic), leaves the smallest marginal: the Student CDF at
+    delta_star sqrt(pair_j / variance) - t_df(eta).
+    """
+    rows = np.atleast_2d(np.asarray(q1, dtype=float))
+    q_ctl, q_exp = rows[:, :1], rows[:, 1:]
+    t_eta = t_quantile(df, config.eta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = q_exp / q_ctl
+        pair = np.where(q_ctl + q_exp > 0.0, q_exp * q_ctl / (q_ctl + q_exp), 0.0)
+    least = (config.delta_star * np.sqrt(pair / variance) - t_eta).min(axis=1)
+    out = ndtr(least) if math.isinf(df) else stdtr(df, least)
+    joint = np.isfinite(ratio).all(axis=1) & (_criterion_arms(config, criterion) > 1)
+    if joint.any():
+        slopes, ratio = np.sqrt(ratio[joint]), ratio[joint]
+        offsets = config.delta_star * np.sqrt(q_exp[joint] / variance) - t_eta * np.sqrt(1.0 + ratio)
+        label = "worst-case abandonment probability"
+        if math.isinf(df):
+            out[joint] = normal_expect(slopes, offsets, tol=_TOL, label=label)
+        else:
+            out[joint] = [
+                gamma_sqrt_expect(a, c, 0.5 * df, 0.5 * df, tol=_TOL, label=label)
+                for a, c in zip(slopes, offsets)
+            ]
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if np.ndim(q1) == 1 else out
+
+
 def optimal_design(config: DesignConfig, criterion: Criterion) -> DesignResult:
     """Smallest design meeting the criterion at the configured allocation."""
     v = config.known_v()
@@ -147,10 +194,11 @@ def integer_search(
     """All feasible designs of minimal total size, for symmetric priors.
 
     Enumerates splits of the total between control and equally sized
-    experimental arms, keeping those whose pairwise information meets the
-    criterion target. Returns every design at the smallest feasible total
-    not exceeding ``max_total``, ordered by control group size; empty when
-    nothing feasible fits.
+    experimental arms, keeping those whose worst-case abandonment
+    probability, at their own effect correlation, meets the criterion.
+    Returns every design at the smallest feasible total not exceeding
+    ``max_total``, ordered by control group size; empty when nothing
+    feasible fits.
     """
     if not isinstance(max_total, int) or max_total < 0:
         raise DomainError(f"max_total must be a nonnegative integer, got {max_total!r}")
@@ -162,35 +210,28 @@ def integer_search(
     v = config.known_v()
     target = information_target(config, criterion)
     k = config.k
-    need = target / v
 
-    # No total below the fractional optimum at the best split can work.
+    # Each arm alone must meet the one-arm target, whatever the split, so no
+    # total below that target's fractional optimum at the best split works.
+    need = information_target(config, Criterion.ANY_PROMISING) / v
     start = max(0, _ceil_count((1.0 + math.sqrt(k)) ** 2 * need - sum(q0)))
 
     for total in range(start, max_total + 1):
         per_arm = np.arange(0, total // k + 1)
         n_control = total - k * per_arm
-        q_ctl = q0[0] + n_control
-        q_exp = q0[1] + per_arm
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pair = np.where(
-                q_ctl + q_exp > 0, q_exp * q_ctl / (q_ctl + q_exp), 0.0
-            )
-        feasible = np.flatnonzero(pair >= need)
+        q1 = np.column_stack([q0[0] + n_control] + [q0[1] + per_arm] * k)
+        shortfall = _worst_case_shortfall(q1, config, criterion, math.inf, 1.0 / v)
+        feasible = np.flatnonzero(shortfall >= config.zeta - _SLACK)
         if feasible.size:
-            results = []
-            for i in feasible:
-                arms = (int(n_control[i]),) + (int(per_arm[i]),) * k
-                results.append(
-                    DesignResult(
-                        criterion=criterion,
-                        n=arms,
-                        information_target=target,
-                        achieved_information=float(pair[i] * v),
-                    )
+            return tuple(
+                DesignResult(
+                    criterion=criterion,
+                    n=(int(n_control[i]),) + (int(per_arm[i]),) * k,
+                    information_target=target,
+                    achieved_information=float(_pairwise_information(q1[i, 0], q1[i, 1]) * v),
                 )
-            results.sort(key=lambda d: d.n[0])
-            return tuple(results)
+                for i in feasible[::-1]
+            )
     return ()
 
 

@@ -20,20 +20,13 @@ from typing import Sequence
 
 from scipy.special import gammainc
 
-from .design_known import (
-    _allocate,
-    _criterion_arms,
-    _pairwise_information,
-    _shares,
-    _standard_target,
-)
-from .distributions import EquicorrSpec, beta_quantile, equicorr_max_cdf, t_quantile
+from .design_known import _SLACK, _allocate, _shares, _standard_target, _worst_case_shortfall
+from .distributions import beta_quantile, t_quantile
 from .exceptions import (
     DataInconsistencyError,
     DomainError,
     InfeasibleDesignError,
     NumericError,
-    UnsupportedConfigurationError,
 )
 from .model import (
     ArmPrior,
@@ -225,8 +218,7 @@ def assured_design(
     # the allocation's; add patients until the design meets its criterion.
     for _ in range(100):
         design = _allocate(config, criterion, target, 1.0)
-        q1 = [p.information + nj for p, nj in zip(config.priors, design.n)]
-        if _design_met(q1, design.total, config, prior, criterion):
+        if _design_met(design.n, config, prior, criterion):
             return design
         target = max(
             assured_information_target(design.total, config, prior, criterion),
@@ -236,28 +228,17 @@ def assured_design(
 
 
 def _design_met(
-    q1: Sequence[float],
-    n_total: float,
+    sizes: Sequence[int],
     config: DesignConfig,
     prior: PrecisionPrior,
     criterion: Criterion,
-    slack: float = 1e-9,
 ) -> bool:
-    """Whether posterior information ``q1`` (control first) meets the
-    assured criterion once ``n_total`` observations are in, judged at the
-    least-informed experimental arm: its pairwise information and effect
-    correlation are the smallest, so exact for equal arms and conservative
-    otherwise."""
-    pair = _pairwise_information(q1[0], min(q1[1:]))
-    variance, df = _assured_variance(float(n_total), prior)
-    reach = config.delta_star * math.sqrt(pair / variance) - t_quantile(df, config.eta)
-    arms = _criterion_arms(config, criterion)
-    rho = pair / q1[0] if q1[0] > 0.0 else 1.0
-    if rho >= 1.0:
-        # Without control information the effect estimates move together,
-        # so their max is a single statistic.
-        arms, rho = 1, 0.0
-    return equicorr_max_cdf(EquicorrSpec(k=arms, rho=rho, df=df), reach) >= config.zeta - slack
+    """Whether arm ``sizes`` (control first) meet the assured criterion:
+    the worst-case abandonment probability at the assured variance and
+    Student df of their total reaches ``zeta``."""
+    q1 = [p.information + n for p, n in zip(config.priors, sizes)]
+    variance, df = _assured_variance(float(sum(sizes)), prior)
+    return _worst_case_shortfall(q1, config, criterion, df, variance) >= config.zeta - _SLACK
 
 
 def assured_criterion_met(
@@ -265,25 +246,16 @@ def assured_criterion_met(
     config: DesignConfig,
     prior: PrecisionPrior,
     criterion: Criterion,
-    slack: float = 1e-9,
 ) -> bool:
     """Directly verify a concrete design against the assured criterion.
 
-    Independent of the fixed-point route: plugs the achieved allocation
-    into the defining probability statement and checks it reaches
-    ``zeta``. Experimental arms must carry equal information for the
-    correlation structure to stay exchangeable.
+    Independent of the fixed-point route: plugs the achieved posterior
+    information of every arm into the defining probability statement at
+    its worst-case data and checks it reaches ``zeta``.
     """
     arm_sizes = tuple(int(x) for x in arm_sizes)
     if len(arm_sizes) != config.k + 1:
         raise DomainError(f"expected {config.k + 1} arm sizes, got {len(arm_sizes)}")
     if any(x < 0 for x in arm_sizes):
         raise DomainError("arm sizes must be >= 0")
-    q0 = [p.information for p in config.priors]
-    q1 = [q0[j] + arm_sizes[j] for j in range(config.k + 1)]
-    exp_info = set(q1[1:])
-    if len(exp_info) != 1:
-        raise UnsupportedConfigurationError(
-            "direct verification assumes equal information on experimental arms"
-        )
-    return _design_met(q1, sum(arm_sizes), config, prior, criterion, slack)
+    return _design_met(arm_sizes, config, prior, criterion)

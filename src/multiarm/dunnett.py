@@ -19,13 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from ._quad import normal_expect
+from .design_known import _allocate, _standard_target
 from .distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile
 from .exceptions import (
     DataInconsistencyError,
     DomainError,
     UnsupportedConfigurationError,
 )
-from .model import TrialData
+from .model import ArmPrior, Criterion, DesignConfig, DesignResult, TrialData
 
 __all__ = [
     "DunnettConfig",
@@ -59,14 +60,15 @@ class DunnettConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not (0.0 < self.power < 1.0):
-            raise DomainError(f"power must lie in (0, 1), got {self.power!r}")
+        # The posterior criteria hold their probabilities at 1/2 or more.
+        if not (0.0 < self.alpha <= 0.5):
+            raise DomainError(f"alpha must lie in (0, 0.5], got {self.alpha!r}")
+        if not (0.5 <= self.power < 1.0):
+            raise DomainError(f"power must lie in [0.5, 1), got {self.power!r}")
         if not (self.delta_star > 0.0):
             raise DomainError(f"delta_star must be positive, got {self.delta_star!r}")
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        if not (1e-154 < self.sigma < 1e154):
+            raise DomainError(f"sigma must lie in (1e-154, 1e154), got {self.sigma!r}")
         if isinstance(self.allocation, str):
             if self.allocation not in ("equal", "sqrt_k"):
                 raise DomainError(
@@ -102,13 +104,16 @@ class FrequentistDesign:
         return len(self.n) - 1
 
 
-def _split(information: float, ratio: float, k: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Arm sizes, control first, giving each comparison ``information``
-    with control ``ratio`` times an experimental arm; rounded up to at
-    least one patient, and the fractional sizes they round."""
-    m = information * (1.0 + ratio) / ratio
-    fractional = (information * (1.0 + ratio),) + (m,) * k
-    return tuple(max(1, math.ceil(x - 1e-9)) for x in fractional), fractional
+def _vague_design(config: DunnettConfig, criterion: Criterion) -> DesignResult:
+    """``config`` sized by the posterior rule with vague priors: eta =
+    power, zeta = 1 - alpha and precision 1 / sigma**2. A familywise test
+    is the stronger criterion, k separate tests the weaker."""
+    vague = DesignConfig(
+        k=config.k, delta_star=config.delta_star, eta=config.power, zeta=1.0 - config.alpha,
+        priors=(ArmPrior(0.0),) * (config.k + 1), v=config.sigma ** -2,
+        allocation=config.allocation_ratio,
+    )
+    return _allocate(vague, criterion, _standard_target(vague, criterion, math.inf), vague.v)
 
 
 def dunnett_critical(
@@ -154,13 +159,11 @@ def dunnett_design(config: DunnettConfig) -> FrequentistDesign:
     to the marginal probability of its own contrast clearing the critical
     value.
     """
-    ratio = config.allocation_ratio
-    rho = 1.0 / (1.0 + ratio)
-    critical = equicorr_max_quantile(EquicorrSpec(k=config.k, rho=rho), 1.0 - config.alpha)
-    z_power = normal_quantile(config.power)
-    information = ((critical + z_power) * config.sigma / config.delta_star) ** 2
-    n, fractional = _split(information, ratio, config.k)
-    return FrequentistDesign(critical=critical, n=n, fractional_n=fractional, rho=rho)
+    design = _vague_design(config, Criterion.ALL_PROMISING)
+    # The critical value is the max quantile behind the target.
+    critical = config.delta_star * math.sqrt(design.information_target) - normal_quantile(config.power)
+    rho = 1.0 / (1.0 + config.allocation_ratio)
+    return FrequentistDesign(critical=critical, n=design.n, fractional_n=design.fractional_n, rho=rho)
 
 
 def z_statistics(
@@ -286,20 +289,7 @@ def per_pair_frequentist(
     """Size k separate one-sided two-arm comparisons sharing a control,
     with no multiplicity adjustment; ``control_ratio`` defaults to
     sqrt(k). Matches the weaker posterior criterion with vague priors."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    for name, p in (("alpha", alpha), ("power", power)):
-        if not (0.0 < p < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {p!r}")
-    if not (delta_star > 0.0):
-        raise DomainError(f"delta_star must be positive, got {delta_star!r}")
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    ratio = math.sqrt(k) if control_ratio is None else float(control_ratio)
-    if not (ratio > 0.0):
-        raise DomainError(f"control_ratio must be positive, got {control_ratio!r}")
-    information = (
-        (normal_quantile(1.0 - alpha) + normal_quantile(power)) * sigma / delta_star
-    ) ** 2
-    n, fractional = _split(information, ratio, k)
-    return PairwiseDesign(n=n, fractional_n=fractional)
+    allocation = "sqrt_k" if control_ratio is None else float(control_ratio)
+    config = DunnettConfig(k, alpha, power, delta_star, sigma, allocation)
+    design = _vague_design(config, Criterion.ANY_PROMISING)
+    return PairwiseDesign(n=design.n, fractional_n=design.fractional_n)

@@ -16,7 +16,12 @@ import pytest
 from scipy.special import ndtr
 
 from multiarm import datasets
-from multiarm.design_known import information_target, integer_search, optimal_design
+from multiarm.design_known import (
+    _worst_case_shortfall,
+    information_target,
+    integer_search,
+    optimal_design,
+)
 from multiarm.design_unknown import assured_design, precision_summary, update_precision
 from multiarm.distributions import (
     EquicorrSpec,
@@ -120,13 +125,20 @@ def test_criterion_2(two_config):
         f"missing: {sorted(documented - found)}" if not documented <= found else "all five present",
     ))
     extras = sorted(found - documented)
+
+    def margin(n):
+        q1 = [p.information + x for p, x in zip(two_config.priors, n)]
+        corner = _worst_case_shortfall(q1, two_config, C1, math.inf, 1.0 / two_config.v)
+        return corner - two_config.zeta
+
+    margins = ", ".join(f"{margin(n):+.3e}" for n in extras)
     checks.append(check(
         "no feasible 221 splits beyond the documented five",
         not extras,
         "exact search also finds "
-        f"{extras}; both satisfy the pairwise information bound "
-        "(41.912 and 41.949 against a target of 41.895), so the documented "
-        "list of five is incomplete rather than the search being wrong"
+        f"{extras}; each meets criterion 1 at its own effect correlation "
+        f"(worst-case abandonment probability minus zeta: {margins}), so the "
+        "documented list of five is incomplete rather than the search being wrong"
         if extras else "exactly five",
     ))
     checks.append(check(

@@ -3,8 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from multiarm.design_known import (
+    _worst_case_shortfall,
     borderline_threshold,
     boundary_curve,
     information_target,
@@ -13,7 +17,8 @@ from multiarm.design_known import (
 )
 from multiarm.distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile
 from multiarm.exceptions import DomainError, UnsupportedConfigurationError
-from multiarm.model import ArmPrior, Criterion, DesignConfig
+from multiarm.model import ArmPrior, Criterion, DesignConfig, DesignResult
+from multiarm.montecarlo import McConfig, design_guarantee
 
 C1 = Criterion.ALL_PROMISING
 C2 = Criterion.ANY_PROMISING
@@ -94,23 +99,85 @@ def test_control_rich_priors_can_zero_the_control_arm(two_config):
 
 
 def test_integer_search_221(two_config):
+    # Each split is judged at its own effect correlation: (91, 65, 65)
+    # clears the pairwise information target at the configured
+    # allocation's correlation, yet misses criterion 1 at its own.
     designs = integer_search(two_config, C1, 221)
     assert tuple(d.n for d in designs) == (
+        (77, 72, 72),
         (79, 71, 71),
         (81, 70, 70),
         (83, 69, 69),
         (85, 68, 68),
         (87, 67, 67),
         (89, 66, 66),
-        (91, 65, 65),
     )
     assert all(d.total == 221 for d in designs)
-    v = two_config.known_v()
-    target = information_target(two_config, C1)
+    variance = 1.0 / two_config.known_v()
+    q0 = [p.information for p in two_config.priors]
+
+    def corner(n):
+        q1 = [q + x for q, x in zip(q0, n)]
+        return _worst_case_shortfall(q1, two_config, C1, math.inf, variance)
+
     for d in designs:
-        q1 = [p.information + n for p, n in zip(two_config.priors, d.n)]
-        pair = min(q * q1[0] / (q + q1[0]) for q in q1[1:])
-        assert pair * v >= target - 1e-12
+        assert corner(d.n) >= two_config.zeta
+    assert corner((91, 65, 65)) == pytest.approx(0.8997618, abs=1e-7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    control=st.floats(0.5, 200.0),
+    arms=st.lists(st.just(0.0) | st.floats(1e-3, 200.0), min_size=2, max_size=5),
+    delta_star=st.floats(0.05, 2.0),
+    eta=st.floats(0.5, 0.99),
+    variance=st.floats(0.1, 10.0),
+)
+def test_worst_case_against_mpmath(mp_normal_expect, control, arms, delta_star, eta, variance):
+    # Given the control mean's standardised deviation U, effect j lies
+    # below delta_star when arm j's standardised mean falls below
+    # sqrt(q_j / q_0) U + (delta_star - d_j) sqrt(q_j / variance); the
+    # worst data put each estimate d_j at its promising threshold.
+    k = len(arms)
+    priors = (ArmPrior(0.0),) * (k + 1)
+    config = DesignConfig(k=k, delta_star=delta_star, eta=eta, zeta=0.9, priors=priors)
+    q1 = [control, *arms]
+    z_eta = normal_quantile(eta)
+    pair = [q * control / (q + control) for q in arms]
+    slopes = [math.sqrt(q / control) for q in arms]
+    offsets = [
+        (delta_star - z_eta * math.sqrt(variance / p)) * math.sqrt(q / variance) if q > 0.0 else -z_eta
+        for q, p in zip(arms, pair)
+    ]
+    got = _worst_case_shortfall(q1, config, C1, math.inf, variance)
+    assert got == pytest.approx(mp_normal_expect(slopes, offsets), abs=1e-9)
+    least = min(delta_star * math.sqrt(p / variance) for p in pair) - z_eta
+    assert _worst_case_shortfall(q1, config, C2, math.inf, variance) == pytest.approx(
+        float(ndtr(least)), abs=1e-15
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    priors=st.lists(st.floats(0.0, 20.0), min_size=3, max_size=5),
+    sizes=st.lists(st.integers(1, 120), min_size=5, max_size=5),
+    delta_star=st.floats(0.1, 2.0),
+    eta=st.floats(0.5, 0.99),
+    v=st.floats(0.2, 5.0),
+)
+def test_worst_case_is_the_sweep_minimum(priors, sizes, delta_star, eta, v):
+    # Criterion 1: the audit's smallest abandonment probability over the
+    # no-promising box sits at its corner.
+    k = len(priors) - 1
+    arm_priors = tuple(ArmPrior(0.0, q) for q in priors)
+    config = DesignConfig(k=k, delta_star=delta_star, eta=eta, zeta=0.9, priors=arm_priors, v=v)
+    design = DesignResult(
+        criterion=C1, n=tuple(sizes[: k + 1]), information_target=0.0, achieved_information=0.0
+    )
+    q1 = [q + n for q, n in zip(priors, design.n)]
+    audit = design_guarantee(design, config, 64, McConfig(seed=1))
+    corner = _worst_case_shortfall(q1, config, C1, math.inf, 1.0 / v)
+    assert audit.min_all_below == pytest.approx(corner, abs=1e-6)
 
 
 def test_integer_search_220_is_infeasible(two_config):

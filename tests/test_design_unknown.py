@@ -3,13 +3,14 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from multiarm import datasets, design_unknown
-from multiarm.design_known import information_target, optimal_design
+from multiarm.design_known import _worst_case_shortfall, information_target, optimal_design
 from multiarm.design_unknown import (
     assured_criterion_met,
     assured_design,
@@ -17,11 +18,7 @@ from multiarm.design_unknown import (
     precision_summary,
     update_precision,
 )
-from multiarm.exceptions import (
-    DomainError,
-    InfeasibleDesignError,
-    UnsupportedConfigurationError,
-)
+from multiarm.exceptions import DomainError, InfeasibleDesignError
 from multiarm.model import ArmPrior, Criterion, DesignConfig, PrecisionPrior, TrialData
 
 C1 = Criterion.ALL_PROMISING
@@ -229,7 +226,10 @@ class TestAssuredCriterionMet:
         shrunk = tuple(x - 1 for x in d.n)
         assert not assured_criterion_met(shrunk, dose_config, prior, C1)
 
-    def test_requires_symmetric_priors(self, dose_config):
+    def test_unequal_priors_agree_with_oracle(self, dose_config):
+        # The worst-case abandonment probability is P(all T_j < reach_j)
+        # for a Student vector whose correlations are
+        # sqrt(pair_i pair_j) / q_0; Genz's algorithm gives it to about 1e-5.
         prior = datasets.case_study_precision_prior()
         priors = (dose_config.priors[0],) + tuple(
             ArmPrior(9.0, float(j)) for j in range(1, 5)
@@ -237,8 +237,21 @@ class TestAssuredCriterionMet:
         lopsided = DesignConfig(
             k=4, delta_star=5.0, eta=0.95, zeta=0.90, priors=priors
         )
-        with pytest.raises(UnsupportedConfigurationError):
-            assured_criterion_met((100,) * 5, lopsided, prior, C1)
+        verdicts = []
+        for sizes in [(100,) * 5, (1300, 700, 700, 700, 700), (2000, 600, 700, 800, 900)]:
+            q1 = np.array([p.information + n for p, n in zip(priors, sizes)])
+            variance, df = design_unknown._assured_variance(sum(sizes), prior)
+            pair = q1[1:] * q1[0] / (q1[1:] + q1[0])
+            corr = np.outer(np.sqrt(pair / q1[0]), np.sqrt(pair / q1[0]))
+            np.fill_diagonal(corr, 1.0)
+            reach = 5.0 * np.sqrt(pair / variance) - stats.t.ppf(0.95, df)
+            want = stats.multivariate_t(shape=corr, df=df).cdf(reach, random_state=1)
+            got = _worst_case_shortfall(q1, lopsided, C1, df, variance)
+            assert got == pytest.approx(want, abs=1e-4)
+            met = assured_criterion_met(sizes, lopsided, prior, C1)
+            assert met == (want >= 0.9)
+            verdicts.append(met)
+        assert verdicts == [False, False, True]
 
     def test_priors_covering_their_share(self):
         # Experimental priors exceed their share at the fixed point of the
@@ -302,14 +315,15 @@ class TestAssuredCriterionMet:
             assured_criterion_met((100, 100), dose_config, prior, C1)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     k=st.integers(1, 6),
     eta=st.floats(0.5, 0.99, exclude_max=True),
     zeta=st.floats(0.5, 0.99, exclude_max=True),
     allocation=st.none() | st.floats(0.25, 4.0),
     control_information=st.floats(0.0, 20.0),
-    arm_information=st.floats(0.0, 10.0),
+    arm_information=st.floats(0.0, 10.0).map(lambda q: [q] * 6)
+    | st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
     delta_over_sd=st.floats(0.1, 2.0),
     shape=st.floats(1.0, 4.0),
     assurance=st.floats(0.5, 0.95),
@@ -319,13 +333,19 @@ def test_designs_meet_their_criteria(
     k, eta, zeta, allocation, control_information, arm_information, delta_over_sd,
     shape, assurance, criterion,
 ):
-    priors = (ArmPrior(0.0, control_information),) + (ArmPrior(1.0, arm_information),) * k
+    # Unequal experimental priors move each arm's effect correlation off
+    # the allocation's; the designs must still meet the worst-case check.
+    priors = (ArmPrior(0.0, control_information),) + tuple(
+        ArmPrior(1.0, q) for q in arm_information[:k]
+    )
     config = DesignConfig(
         k=k, delta_star=delta_over_sd, eta=eta, zeta=zeta, priors=priors, v=1.0,
         allocation=allocation,
     )
     known = optimal_design(config, criterion)
     assert known.achieved_information >= information_target(config, criterion) * (1.0 - 1e-12)
+    q1 = [p.information + n for p, n in zip(priors, known.n)]
+    assert _worst_case_shortfall(q1, config, criterion, math.inf, 1.0) >= zeta - 1e-9
     prior = PrecisionPrior(shape, shape, assurance)
     assured = assured_design(config, prior, criterion)
     assert assured_criterion_met(assured.n, config, prior, criterion)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, roots_legendre
 
 from multiarm import datasets
+from multiarm.design_known import optimal_design
 from multiarm.distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile
 from multiarm.dunnett import (
     DunnettConfig,
@@ -23,7 +26,7 @@ from multiarm.exceptions import (
     DomainError,
     UnsupportedConfigurationError,
 )
-from multiarm.model import TrialData
+from multiarm.model import ArmPrior, Criterion, DesignConfig, TrialData
 
 
 class TestCritical:
@@ -98,11 +101,20 @@ class TestDesign:
             DunnettConfig(k=0, alpha=0.05, power=0.9, delta_star=1.0, sigma=1.0)
         with pytest.raises(DomainError):
             DunnettConfig(k=2, alpha=0.05, power=1.0, delta_star=1.0, sigma=1.0)
-        with pytest.raises(DomainError):
-            DunnettConfig(k=2, alpha=0.05, power=0.9, delta_star=1.0, sigma=0.0)
+        for sigma in (0.0, 1e-200, 1e200):
+            with pytest.raises(DomainError, match="sigma"):
+                DunnettConfig(k=2, alpha=0.05, power=0.9, delta_star=1.0, sigma=sigma)
         with pytest.raises(DomainError):
             DunnettConfig(k=2, alpha=0.05, power=0.9, delta_star=1.0, sigma=1.0,
                           allocation="harmonic")
+
+    @pytest.mark.parametrize("alpha,power,field", [(0.6, 0.9, "alpha"), (0.05, 0.4, "power")])
+    def test_rates_outside_the_posterior_domain(self, alpha, power, field):
+        # The sizing rule holds its probabilities at 1/2 or more.
+        with pytest.raises(DomainError, match=field):
+            DunnettConfig(k=2, alpha=alpha, power=power, delta_star=1.0, sigma=1.0)
+        with pytest.raises(DomainError, match=field):
+            per_pair_frequentist(k=2, alpha=alpha, power=power, delta_star=1.0)
 
 
 class TestZStatistics:
@@ -293,3 +305,41 @@ class TestPerPair:
             k=3, alpha=0.05, power=0.90, delta_star=1.0, sigma=2.0, control_ratio=1.0
         )
         assert d.fractional_n[0] == pytest.approx(d.fractional_n[1], rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    alpha=st.floats(0.005, 0.2),
+    power=st.floats(0.6, 0.99),
+    delta_star=st.floats(0.1, 10.0),
+    sigma=st.floats(0.2, 20.0),
+    ratio=st.floats(0.3, 4.0),
+)
+def test_frequentist_designs_are_vague_posterior_designs(k, alpha, power, delta_star, sigma, ratio):
+    # Each comparison needs ((c + z_power) sigma / delta_star)**2 pairwise
+    # information, c the familywise (Dunnett) or per-comparison critical
+    # value; that is the posterior rule with vague priors, eta = power,
+    # zeta = 1 - alpha and precision 1 / sigma**2.
+    z_power = normal_quantile(power)
+    vague = DesignConfig(
+        k=k, delta_star=delta_star, eta=power, zeta=1.0 - alpha,
+        priors=(ArmPrior(0.0),) * (k + 1), v=sigma ** -2, allocation=ratio,
+    )
+    rho = 1.0 / (1.0 + ratio)
+    familywise = dunnett_design(
+        DunnettConfig(k=k, alpha=alpha, power=power, delta_star=delta_star, sigma=sigma, allocation=ratio)
+    )
+    critical = equicorr_max_quantile(EquicorrSpec(k=k, rho=rho), 1.0 - alpha)
+    separate = per_pair_frequentist(k, alpha, power, delta_star, sigma, control_ratio=ratio)
+    for design, c, criterion in (
+        (familywise, critical, Criterion.ALL_PROMISING),
+        (separate, normal_quantile(1.0 - alpha), Criterion.ANY_PROMISING),
+    ):
+        information = ((c + z_power) * sigma / delta_star) ** 2
+        want = (information * (1.0 + ratio),) + (information * (1.0 + ratio) / ratio,) * k
+        assert design.fractional_n == pytest.approx(want, rel=1e-12)
+        assert design.n == tuple(math.ceil(x - 1e-9) for x in want)
+        assert design.n == optimal_design(vague, criterion).n
+    assert familywise.critical == pytest.approx(critical, rel=1e-12)
+    assert familywise.rho == rho

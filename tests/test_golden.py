@@ -4,8 +4,9 @@ Every subcommand runs in process on both bundled configurations, with
 each ``--criterion`` where it applies and ``analyze`` with and without a
 seed. ``tests/configs/three_arm.json`` adds the sizing and analysis paths
 those two miss: k = 3, an explicit allocation, eta = 0.5, unequal
-experimental priors (so the direct assured check is skipped), assurance
-0.8 and data given as standard deviations. Reports must match the stored files byte for byte; in the CSV
+experimental priors (so the direct assured check judges each arm at its
+own effect correlation), assurance 0.8 and data given as standard
+deviations. Reports must match the stored files byte for byte; in the CSV
 files, text cells must be equal and numeric cells agree within
 ``math.isclose(rel_tol=1e-12, abs_tol=1e-15)``. Exit codes and error
 messages of the combinations that fail by design are stored too.
