@@ -25,11 +25,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, stdtr
+from scipy.special import ndtr, ndtri, stdtr
 
 from ._quad import gamma_sqrt_expect, normal_expect
-from .distributions import EquicorrSpec, equicorr_max_quantile, normal_quantile, t_quantile
+from .distributions import (
+    _NEWTON_STEPS,
+    _NEWTON_STOP,
+    EquicorrSpec,
+    equicorr_max_quantile,
+    normal_quantile,
+    t_quantile,
+)
 from .exceptions import DomainError, NumericError, UnsupportedConfigurationError
 from .model import Criterion, DesignConfig, DesignResult
 from .posterior import _joint_below_given_control
@@ -273,6 +279,19 @@ def boundary_curve(
     ``zeta``. Grid values beyond the boundary's reach (where even an
     arbitrarily poor second arm cannot raise the shortfall probability to
     ``zeta``) are skipped.
+
+    The shortfall is the bivariate normal CDF Phi_2(h, t; rho) of arm 1's
+    standardised offset h and arm 2's t = (delta_star - d2) / sd2, with
+    rho >= 0. As t grows it rises to arm 1's marginal P1 = Phi(h), so a
+    grid value is reached exactly when P1 > zeta. Arm 2's marginal caps
+    it, so at t = z_zeta it is at most zeta; by Slepian's inequality it is
+    at least P1 Phi(t), so where Phi(t) = zeta / P1 it is at least zeta.
+    In u = Phi(t) it is concave, with the closed-form slope
+    Phi((h - rho t) / sqrt(1 - rho**2)), so Newton's method in u from the
+    lower end climbs to the root without overshooting it. All rows run
+    that solve together, one kernel call per step on the rows still
+    moving. Rounding that carries a step past the bracket stops it at the
+    end; a slope that underflows to zero bisects the bracket instead.
     """
     if config.k != 2:
         raise UnsupportedConfigurationError("the boundary curve is defined for k = 2 designs")
@@ -288,45 +307,55 @@ def boundary_curve(
         q1 = [q0[j] + design.n[j] for j in range(3)]
     pair = [_pairwise_information(q1[0], q1[j]) for j in (1, 2)]
     thresholds = tuple(borderline_threshold(config, d) for d in pair)
-
-    slopes = np.sqrt(np.asarray(q1[1:]) / q1[0])
-    scale = np.sqrt(np.asarray(q1[1:]) * v)
-
-    def shortfall(d1: float, d2: float) -> float:
-        offsets = (config.delta_star - np.asarray([d1, d2])) * scale
-        return float(_joint_below_given_control(slopes, offsets, tol))
-
-    sd2 = 1.0 / math.sqrt(pair[1] * v)
-    asymptote = config.delta_star - normal_quantile(config.zeta) * sd2
+    sd1, sd2 = (1.0 / math.sqrt(d * v) for d in pair)
 
     if grid is None:
-        sd1 = 1.0 / math.sqrt(pair[0] * v)
         grid = np.linspace(thresholds[0] - 6.0 * sd1, thresholds[0], 41)
-    lo = asymptote - 30.0 * sd2
-    hi = asymptote + sd2
-    points = []
-    for d1 in grid:
-        d1 = float(d1)
-        if math.isnan(d1):
-            raise DomainError("grid values must not be NaN")
-        ends = (config.delta_star - np.array([[d1, lo], [d1, hi]])) * scale
-        f_lo, f_hi = _joint_below_given_control(slopes, ends, tol) - config.zeta
-        if f_lo < 0.0:
-            # Even a hopeless second arm cannot reach the abandonment
-            # probability here; the boundary does not extend this far.
-            continue
-        if f_hi > 0.0:
-            raise NumericError(f"abandonment boundary bracket failed at d1={d1!r}")
-        # brentq starts by evaluating both ends, which are known already.
-        known = {lo: f_lo, hi: f_hi}
-        root = brentq(
-            lambda d2: known[d2] if d2 in known else shortfall(d1, d2) - config.zeta,
-            lo, hi, xtol=1e-9,
+    d1 = np.asarray(grid, dtype=float)
+    if np.isnan(d1).any():
+        raise DomainError("grid values must not be NaN")
+    zeta = config.zeta
+    p1 = ndtr((config.delta_star - d1) / sd1)
+    reached = p1 > zeta
+    d1, p1 = d1[reached], p1[reached]
+
+    # The kernel takes slopes a_j and offsets c1, s2 t, where s_j^2 = 1 + a_j^2;
+    # then h = c1 / s1, rho = a1 a2 / (s1 s2), and the slope in u is Phi(g),
+    # g = (c1 - a1 a2 t / s2) / sqrt(1 + a1^2 / s2^2).
+    a1, a2 = np.sqrt(np.asarray(q1[1:]) / q1[0])
+    s2 = math.hypot(1.0, a2)
+    c1 = (config.delta_star - d1) * math.sqrt(q1[1] * v)
+    lo = np.full(d1.shape, normal_quantile(zeta))
+    hi = -ndtri((p1 - zeta) / p1)
+    t = lo.copy()
+    active = np.arange(d1.size)
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        x = t[active]
+        offsets = np.column_stack([c1[active], s2 * x])
+        f = _joint_below_given_control(np.array([a1, a2]), offsets, tol) - zeta
+        lo[active] = np.where(f < 0.0, x, lo[active])
+        hi[active] = np.where(f < 0.0, hi[active], x)
+        slope = ndtr((c1[active] - a1 * a2 / s2 * x) / math.hypot(1.0, a1 / s2))
+        du = -np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0.0)
+        # u + du, taken through the smaller tail of t so that it keeps
+        # its precision far out in either tail.
+        sign = np.where(x > 0.0, -1.0, 1.0)
+        new = sign * ndtri(ndtr(sign * x) + sign * du)
+        new = np.where(
+            np.isnan(new), 0.5 * (lo[active] + hi[active]), np.clip(new, lo[active], hi[active])
         )
-        points.append((d1, float(root)))
+        t[active] = new
+        active = active[np.abs(new - x) > _NEWTON_STOP * np.maximum(1.0, np.abs(new))]
+    if active.size:
+        raise NumericError(
+            f"abandonment boundary Newton solve did not converge at d1={d1[active].tolist()}"
+        )
+    d2 = config.delta_star - sd2 * t
     return BoundaryCurve(
         delta_star=config.delta_star,
-        zeta=config.zeta,
+        zeta=zeta,
         promising_thresholds=thresholds,
-        points=tuple(points),
+        points=tuple(zip(d1.tolist(), d2.tolist())),
     )

@@ -373,12 +373,10 @@ def test_module_entry_point(tmp_path):
     assert (out / "design_known.csv").exists()
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    # Both add start-up time, and nothing in the package needs them.
-    code = (
-        "import sys, multiarm.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-    )
+def test_import_leaves_out_scipy_stats_integrate_and_optimize():
+    # All three add start-up time, and nothing in the package needs them.
+    names = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    code = f"import sys, multiarm.cli; print(sorted(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
