@@ -38,12 +38,15 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
-
-import jsonschema
+from typing import Any, NoReturn, Sequence
 
 from . import datasets
-from .design_known import boundary_curve, optimal_design
+from .design_known import (
+    _pairwise_information,
+    borderline_threshold,
+    boundary_curve,
+    optimal_design,
+)
 from .design_unknown import (
     assured_criterion_met,
     assured_design,
@@ -144,20 +147,68 @@ _SCHEMA = _object(
 )
 
 
-def _check_float_range(node: Any, where: str = "") -> None:
-    """Reject JSON integers too large to become floats, naming their path."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            _check_float_range(value, f"{where}/{key}" if where else str(key))
-    elif isinstance(node, int) and abs(node) > sys.float_info.max:
-        raise DomainError(f"config {where}: integer beyond the float range")
+# JSON Schema 2020-12's types: a bool is neither a number nor an integer,
+# and a float with no fractional part is an integer.
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool)
+    or isinstance(x, float) and x.is_integer(),
+}
+
+
+def _validate(node: Any, schema: dict, where: str = "") -> None:
+    """Check a parsed config against ``schema`` in one pass, with the JSON
+    Schema 2020-12 meaning of the keywords ``_SCHEMA`` uses, and reject
+    integers too large to become floats. Raises ``DomainError`` naming the
+    path of the first fault found."""
+
+    def fail(reason: str) -> NoReturn:
+        raise DomainError(f"config {where or '(top level)'}: {reason}")
+
+    if isinstance(node, int) and abs(node) > sys.float_info.max:
+        fail("integer beyond the float range")
+    if "type" in schema and not _IS_TYPE[schema["type"]](node):
+        fail(f"{node!r} is not of type {schema['type']!r}")
+    if "enum" in schema and node not in schema["enum"]:
+        fail(f"{node!r} is not one of {schema['enum']!r}")
+    if "minimum" in schema and _IS_TYPE["number"](node) and node < schema["minimum"]:
+        fail(f"{node!r} is less than the minimum of {schema['minimum']!r}")
+    if "oneOf" in schema:
+        matches = 0
+        for branch in schema["oneOf"]:
+            try:
+                _validate(node, branch, where)
+                matches += 1
+            except DomainError:
+                pass
+        if matches != 1:
+            fail(f"{node!r} matches {matches} of the allowed forms, not exactly one")
+    prefix = f"{where}/" if where else ""
+    if isinstance(node, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in node:
+                fail(f"{key!r} is a required property")
+        for key, value in node.items():
+            if key in properties:
+                _validate(value, properties[key], f"{prefix}{key}")
+            elif schema.get("additionalProperties") is False:
+                fail(f"unknown key {key!r}")
+    if isinstance(node, list):
+        if len(node) < schema.get("minItems", 0):
+            fail(f"needs at least {schema['minItems']} items, got {len(node)}")
+        for i, item in enumerate(node):
+            _validate(item, schema.get("items", {}), f"{prefix}{i}")
 
 
 def load_config(path: Path) -> dict:
     """Read and schema-validate a JSON run configuration."""
     doc = json.loads(path.read_text(encoding="utf-8"))
-    jsonschema.validate(doc, _SCHEMA)
-    _check_float_range(doc)
+    _validate(doc, _SCHEMA)
     return doc
 
 
@@ -175,9 +226,12 @@ def _design_from(section: dict, *, need_v: bool) -> DesignConfig:
         v = float(section["v"])
     elif "sd" in section:
         sd = float(section["sd"])
-        if not (sd > 0.0):
-            raise DomainError(f"design: sd must be > 0, got {sd!r}")
-        v = 1.0 / (sd * sd)
+        square = sd * sd
+        v = 1.0 / square if square > 0.0 else math.inf
+        if not (sd > 0.0 and 0.0 < v < math.inf):
+            raise DomainError(
+                f"design: sd must be > 0 with 1 / sd**2 a finite nonzero precision, got {sd!r}"
+            )
     elif need_v:
         raise DomainError("design: a known precision is required here; set 'v' or 'sd'")
     priors = tuple(
@@ -320,19 +374,23 @@ def _sizing(criterion: Criterion, design: DesignResult, info: str, unit: str, *,
     return out_rows, out_lines
 
 
-def _pair_sigmas(config: DesignConfig, design: DesignResult) -> tuple[float, ...]:
-    """Posterior sd of each effect estimate once the design is enrolled."""
-    v = config.known_v()
+def _pair_information(config: DesignConfig, design: DesignResult) -> list[float]:
+    """Posterior information on each effect once the design is enrolled,
+    in patient-equivalents; none for an arm that has no information."""
     q = [p.information + n for p, n in zip(config.priors, design.n)]
-    return tuple(1.0 / math.sqrt(q[j] * q[0] / (q[j] + q[0]) * v) for j in range(1, config.k + 1))
+    return [_pairwise_information(q[0], qj) for qj in q[1:]]
 
 
 def _design_known(doc: dict, args: argparse.Namespace) -> _Output:
     config = _design_from(_require(doc, "design", "design-known"), need_v=True)
     criterion = Criterion(args.criterion)
     design = optimal_design(config, criterion)
-    z_eta = normal_quantile(config.eta)
-    thresholds = tuple(z_eta * s for s in _pair_sigmas(config, design))
+    thresholds = []
+    for j, pair in enumerate(_pair_information(config, design), 1):
+        try:
+            thresholds.append(borderline_threshold(config, pair))
+        except DomainError as exc:
+            raise DomainError(f"arm {j}: {exc}") from None
 
     rows, lines = _sizing(criterion, design, "information", "standardised")
     rows += _arms(
@@ -624,11 +682,11 @@ def _boundary(doc: dict, args: argparse.Namespace) -> _Output:
     grid = None
     bsec = doc.get("boundary")
     if bsec is not None:
-        start, stop, count = bsec["start"], bsec["stop"], bsec["points"]
+        start, stop, count = bsec["start"], bsec["stop"], int(bsec["points"])
         grid = [start + (stop - start) * i / (count - 1) for i in range(count)]
     curve = boundary_curve(config, design, grid=grid)
     t1, t2 = curve.promising_thresholds
-    s1, s2 = _pair_sigmas(config, design)
+    s1, s2 = (1.0 / math.sqrt(pair * config.v) for pair in _pair_information(config, design))
     z_zeta = normal_quantile(config.zeta)
     asymptotes = (config.delta_star - z_zeta * s1, config.delta_star - z_zeta * s2)
 
@@ -797,10 +855,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (DomainError, UnsupportedConfigurationError, DataInconsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "(top level)"
-        print(f"error: config {where}: {exc.message}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)

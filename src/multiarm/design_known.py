@@ -21,6 +21,7 @@ subtracting what the priors already contribute, and rounding up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,7 +80,12 @@ def _standard_target(
     quantile."""
     spec = EquicorrSpec(k=_criterion_arms(config, criterion), rho=config.rho, df=df)
     reach = t_quantile(df, config.eta) + equicorr_max_quantile(spec, config.zeta, start=start)
-    return (reach / config.delta_star) ** 2
+    ratio = reach / config.delta_star
+    if not abs(ratio) < math.sqrt(sys.float_info.max):
+        raise DomainError(
+            f"delta_star {config.delta_star!r} is too small: the information target overflows"
+        )
+    return ratio**2
 
 
 def information_target(config: DesignConfig, criterion: Criterion) -> float:
@@ -113,6 +119,11 @@ def _allocate(config: DesignConfig, criterion: Criterion, target: float, v: floa
     """
     q0 = [p.information for p in config.priors]
     fractional = [max(q - q0[j], 0.0) for j, q in enumerate(_shares(config, target / v))]
+    q = [q0[j] + x for j, x in enumerate(fractional)]
+    if not all(math.isfinite(_pairwise_information(q[0], qj) * v) for qj in q[1:]):
+        raise DomainError(
+            f"the design's posterior information overflows the float range at precision v = {v!r}"
+        )
     n = [_ceil_count(x) for x in fractional]
 
     # Rounding up and clamping only add information, but a share within

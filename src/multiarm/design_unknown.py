@@ -76,8 +76,15 @@ def update_precision(
             continue
         within = ss - nj * ybar * ybar
         q0 = prior.information
-        shift = q0 * nj * (ybar - prior.mean) ** 2 / (q0 + nj)
-        h = within + shift
+        try:
+            h = within + (q0 * nj * (ybar - prior.mean) ** 2 / (q0 + nj) if q0 else 0.0)
+        except OverflowError:
+            h = math.inf
+        if not math.isfinite(h):
+            raise DomainError(
+                f"arm {j}: prior mean {prior.mean!r} and sample mean {ybar!r} give a "
+                "precision contribution beyond the float range"
+            )
         if h < -1e-8 * max(1.0, abs(ss)):
             raise DataInconsistencyError(
                 f"arm {j}: negative precision contribution {h!r}"

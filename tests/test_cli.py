@@ -1,17 +1,30 @@
 """End-to-end command line checks driven through main() in process."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multiarm.cli import build_parser, main
+from multiarm.cli import _SCHEMA, _validate, build_parser, main
+from multiarm.exceptions import DomainError
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+BUNDLED = {
+    path.stem: json.loads(path.read_text(encoding="utf-8"))
+    for path in (CONFIGS / "case_study.json", CONFIGS / "two_treatment.json",
+                 ROOT / "tests" / "configs" / "three_arm.json")
+}
 
 
 def read(path):
@@ -213,6 +226,16 @@ class TestBoundary:
         ])
         assert read(out / "boundary.csv").splitlines()[0] == "# criterion=2"
 
+    def test_integral_float_points(self, tmp_path, two_doc):
+        # JSON Schema counts 25.0 as an integer, so it sets the same grid as 25.
+        outs = []
+        for points in (25, 25.0):
+            two_doc["boundary"]["points"] = points
+            cfg = write_config(tmp_path, two_doc)
+            outs.append(tmp_path / repr(points))
+            assert main(["boundary", "--config", str(cfg), "--format", "csv", "--out", str(outs[-1])]) == 0
+        assert read(outs[0] / "boundary.csv") == read(outs[1] / "boundary.csv")
+
     def test_more_than_two_treatments_unsupported(self, tmp_path, case_doc):
         cfg = write_config(tmp_path, case_doc)
         assert main(["boundary", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -311,11 +334,125 @@ class TestBadInput:
         assert f"config {section}/{key}: integer beyond the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, command, path, value, named", [
+        # 1 / sd**2 underflows to zero or overflows.
+        ("case_study", "design-known", "design/sd", 1e-300, "design: sd"),
+        ("case_study", "design-known", "design/sd", 1e200, "design: sd"),
+        # The information target overflows.
+        *(("case_study", command, "design/delta_star", 1e-300, "delta_star")
+          for command in ("design-known", "design-unknown", "dunnett")),
+        ("two_treatment", "boundary", "design/delta_star", 1e-300, "delta_star"),
+        # The arm sizes, or the information they carry, overflow.
+        ("three_arm", "design-known", "design/allocation", 1e308, "overflows"),
+        ("case_study", "design-known", "design/sd", 1e154, "overflows"),
+        # The shrinkage term of the precision update overflows.
+        ("case_study", "analyze", "design/priors/1/mean", 1e300, "arm 1"),
+        # A zero target recruits nobody onto arm 3, which has no prior
+        # information, so it has no threshold.
+        ("three_arm", "design-known --criterion 2", "design/zeta", 0.5, "arm 3"),
+    ])
+    def test_degenerate_config_names_cause(self, tmp_path, capsys, config, command, path, value, named):
+        doc = copy.deepcopy(BUNDLED[config])
+        _put(doc, tuple(int(key) if key.isdigit() else key for key in path.split("/")), value)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_arguments(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def _nodes(node, path=()):
+    """Every (path, value) of a parsed JSON document, the root first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+EXTREMES = [0, 1, -1, 0.5, 1e12, 1e-12, 1e300, 1e-300, 5e153, math.inf, -math.inf, math.nan]
+# Leaves left unmutated: the boundary grid size and the Monte Carlo draw
+# count allocate and run in proportion to their value by design.
+UNBOUNDED = {("boundary", "points"), ("monte_carlo", "n_draws")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_config_crashes_the_cli(data):
+    doc = copy.deepcopy(BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))])
+    leaves = [path for path, x in _nodes(doc) if _is_number(x) and path not in UNBOUNDED]
+    for path in data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2, unique=True)):
+        _put(doc, path, data.draw(st.sampled_from(EXTREMES)))
+    argv = [data.draw(st.sampled_from(["design-known", "design-unknown", "analyze", "dunnett", "boundary"]))]
+    if argv[0] in ("design-known", "design-unknown", "boundary"):
+        argv += ["--criterion", data.draw(st.sampled_from(["1", "2"]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+
+
+# What a node of a config is swapped for: other JSON types, bools, integral
+# floats, values below the schema's minima and integers beyond the float range.
+SWAPS = [None, True, False, "equal", "x", [], {}, [1.0, 2.0], {"mean": 0.0},
+         0, 1, -1, 2, 0.0, 1.0, 2.0, 0.5, -0.5, math.nan, math.inf, 10**400, -10**400]
+
+
+def _mutate(data, doc):
+    """Apply one random change to ``doc``; returns the changed document."""
+    path, node = data.draw(st.sampled_from(list(_nodes(doc))))
+    kind = data.draw(st.sampled_from(["swap", "retype", "delete", "add"]))
+    if kind == "add" and isinstance(node, dict):
+        node["unexpected"] = 1.0
+    elif kind == "delete" and path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    elif kind == "retype" and path and _is_number(node) and abs(node) < 1e300:
+        _put(doc, path, float(node) if isinstance(node, int) else int(node))
+    elif path:
+        _put(doc, path, copy.deepcopy(data.draw(st.sampled_from(SWAPS))))
+    else:
+        doc = copy.deepcopy(data.draw(st.sampled_from(SWAPS)))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_jsonschema(data):
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = copy.deepcopy(BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    errors = jsonschema.Draft202012Validator(_SCHEMA).iter_errors(doc)
+    paths = {"/".join(map(str, e.absolute_path)) or "(top level)" for e in errors}
+    paths |= {
+        "/".join(map(str, path)) for path, x in _nodes(doc)
+        if isinstance(x, int) and abs(x) > sys.float_info.max
+    }
+    try:
+        _validate(doc, _SCHEMA)
+    except DomainError as exc:
+        assert str(exc).removeprefix("config ").split(": ")[0] in paths
+    else:
+        assert not paths
 
 
 # The flags each subcommand reads besides the COMMON ones.
@@ -373,9 +510,11 @@ def test_module_entry_point(tmp_path):
     assert (out / "design_known.csv").exists()
 
 
-def test_import_leaves_out_scipy_stats_integrate_and_optimize():
-    # All three add start-up time, and nothing in the package needs them.
-    names = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+def test_import_leaves_out_unused_modules():
+    # Each adds start-up time, and nothing in the package needs them; the
+    # config schema is checked locally, and jsonschema serves only as a
+    # test oracle.
+    names = ("scipy.stats", "scipy.integrate", "scipy.optimize", "jsonschema")
     code = f"import sys, multiarm.cli; print(sorted(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
