@@ -249,21 +249,27 @@ def _design_from(section: dict, *, need_v: bool) -> DesignConfig:
     )
 
 
-def _data_from(section: dict) -> TrialData:
-    n = section["n"]
-    mean = section["mean"]
+def _data_from(section: dict) -> tuple[TrialData, dict]:
+    """The trial data and its echo for the report, which gives raw sums of
+    squared responses as the ``ss`` key takes them."""
+    n, mean = section["n"], section["mean"]
     given = [key for key in ("ss", "sd", "se") if key in section]
     if len(given) != 1:
         raise DomainError("data: give exactly one of 'ss', 'sd' or 'se'")
-    key = given[0]
-    spread = section[key]
+    key, spread = given[0], section[given[0]]
     if not (len(n) == len(mean) == len(spread)):
         raise DomainError("data: 'n', 'mean' and the spread array must have equal length")
-    if key == "ss":
-        return TrialData(n=n, mean=mean, ss=spread)
     if key == "se":
         spread = [s * math.sqrt(nj) for s, nj in zip(spread, n)]
-    return TrialData.from_moments(n=n, mean=mean, sd=spread)
+    if key == "ss":
+        data = TrialData.from_sums(n=n, mean=mean, ss=spread)
+    else:
+        data = TrialData.from_moments(n=n, mean=mean, sd=spread)
+    ss = [w + nj * m * m for nj, m, w in zip(data.n, data.mean, data.within_ss)]
+    for j, (m, total) in enumerate(zip(data.mean, ss)):
+        if math.isinf(total):
+            raise DomainError(f"data: arm {j}: mean {m!r} overflows the sum of squares")
+    return data, {"n": list(data.n), "mean": list(data.mean), "ss": ss}
 
 
 def _precision_prior_from(section: dict, *, need_assurance: bool) -> PrecisionPrior:
@@ -301,10 +307,6 @@ def _resolved_design(config: DesignConfig) -> dict:
             {"mean": p.mean, "information": p.information} for p in config.priors
         ],
     }
-
-
-def _resolved_data(data: TrialData) -> dict:
-    return {"n": list(data.n), "mean": list(data.mean), "ss": list(data.ss)}
 
 
 def _fmt_cell(value: Any) -> str:
@@ -469,7 +471,7 @@ def _analysis_variants(
 
 def _analyze(doc: dict, args: argparse.Namespace) -> _Output:
     config = _design_from(_require(doc, "design", "analyze"), need_v=False)
-    data = _data_from(_require(doc, "data", "analyze"))
+    data, data_echo = _data_from(_require(doc, "data", "analyze"))
     summary = update_posterior(config.priors, data)
     analysis = doc.get("analysis", {})
     extra_thresholds = [float(c) for c in analysis.get("thresholds", [])]
@@ -587,7 +589,7 @@ def _analyze(doc: dict, args: argparse.Namespace) -> _Output:
 
     resolved = {
         "design": _resolved_design(config),
-        "data": _resolved_data(data),
+        "data": data_echo,
         "precision_prior": None
         if prior is None
         else {"alpha": float(prior.alpha), "beta": float(prior.beta)},
@@ -640,7 +642,7 @@ def _dunnett(doc: dict, args: argparse.Namespace) -> _Output:
     }
 
     if "data" in doc:
-        data = _data_from(doc["data"])
+        data, data_echo = _data_from(doc["data"])
         if data.k != config.k:
             raise DomainError(f"data covers {data.k} treatments but design.k = {config.k}")
         z_planned = z_statistics(data, sigma=config.sigma)
@@ -664,7 +666,7 @@ def _dunnett(doc: dict, args: argparse.Namespace) -> _Output:
             f"{star}: {_r(z_star)}",
             f"p-value for the best-looking treatment: {p_value:.4e}",
         ]
-        resolved["data"] = _resolved_data(data)
+        resolved["data"] = data_echo
         resolved["dunnett"]["z_star"] = z_star
 
     return _Output("frequentist comparator", resolved, lines, {"dunnett.csv": rows})

@@ -3,11 +3,11 @@
 Summary data from Carlsen et al. (BMJ 1990), a five-arm study of four
 bendrofluazide doses against placebo with mean fall in systolic blood
 pressure (mm Hg) as the endpoint. The trial reported per-arm sample
-sizes, means and standard errors; sums of squares are reconstructed from
-the unrounded standard deviations ``se * sqrt(n)``, which reproduces the
-published derived statistics. Alongside the data sit the design settings
-used in this package's worked analyses and regression tests, plus the
-published reference designs those analyses should reproduce.
+sizes, means and standard errors; within-arm sums of squares are
+reconstructed from the unrounded standard deviations ``se * sqrt(n)``,
+which reproduces the published derived statistics. Alongside the data
+sit the design settings used in this package's worked analyses and
+regression tests, plus the published reference designs they reproduce.
 """
 
 from __future__ import annotations

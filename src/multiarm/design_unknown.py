@@ -22,12 +22,7 @@ from scipy.special import gammainc
 
 from .design_known import _SLACK, _allocate, _shares, _standard_target, _worst_case_shortfall
 from .distributions import beta_quantile, t_quantile
-from .exceptions import (
-    DataInconsistencyError,
-    DomainError,
-    InfeasibleDesignError,
-    NumericError,
-)
+from .exceptions import DomainError, InfeasibleDesignError, NumericError
 from .model import (
     ArmPrior,
     Criterion,
@@ -70,24 +65,16 @@ def update_precision(
     if len(priors) != len(data.n):
         raise DomainError(f"got {len(priors)} priors but data for {len(data.n)} arms")
     contributions = []
-    for j, (prior, nj, ybar, ss) in enumerate(zip(priors, data.n, data.mean, data.ss)):
-        if nj == 0:
-            contributions.append(0.0)
-            continue
-        within = ss - nj * ybar * ybar
+    for j, (prior, nj, ybar, within) in enumerate(zip(priors, data.n, data.mean, data.within_ss)):
         q0 = prior.information
         try:
-            h = within + (q0 * nj * (ybar - prior.mean) ** 2 / (q0 + nj) if q0 else 0.0)
+            h = within + (q0 * nj * (ybar - prior.mean) ** 2 / (q0 + nj) if q0 and nj else 0.0)
         except OverflowError:
             h = math.inf
         if not math.isfinite(h):
             raise DomainError(
                 f"arm {j}: prior mean {prior.mean!r} and sample mean {ybar!r} give a "
                 "precision contribution beyond the float range"
-            )
-        if h < -1e-8 * max(1.0, abs(ss)):
-            raise DataInconsistencyError(
-                f"arm {j}: negative precision contribution {h!r}"
             )
         contributions.append(h)
     alpha = precision.alpha + 0.5 * data.total

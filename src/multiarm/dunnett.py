@@ -200,9 +200,7 @@ def pooled_pair_sd(data: TrialData, arm: int) -> float:
     n0, nj = data.n[0], data.n[arm]
     if n0 + nj < 3:
         raise DomainError("pooling needs at least three observations across the pair")
-    pooled_var = (
-        (n0 - 1) * data.sample_variance(0) + (nj - 1) * data.sample_variance(arm)
-    ) / (n0 + nj - 2)
+    pooled_var = (data.within_ss[0] + data.within_ss[arm]) / (n0 + nj - 2)
     if pooled_var <= 0.0:
         raise DataInconsistencyError(f"arm {arm}: pooled variance is zero")
     return math.sqrt(pooled_var)
@@ -212,12 +210,8 @@ def z_statistics_pooled(data: TrialData) -> tuple[float, ...]:
     """Contrasts scaled by the per-pair pooled standard deviations and the
     achieved sample sizes; the end-of-trial analogue of
     :func:`z_statistics`."""
-    out = []
-    for j in range(1, len(data.n)):
-        out.append(
-            z_statistics(data, sigma=pooled_pair_sd(data, j))[j - 1]
-        )
-    return tuple(out)
+    unit = z_statistics(data, sigma=1.0)
+    return tuple(z / pooled_pair_sd(data, j) for j, z in enumerate(unit, start=1))
 
 
 def dunnett_pvalue(

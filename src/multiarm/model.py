@@ -170,38 +170,59 @@ class DesignResult:
 class TrialData:
     """Per-arm response summaries, control first.
 
-    ``ss`` holds raw (uncentred) sums of squared responses. Arms with
-    ``n == 0`` contribute nothing and must have zero mean and ss.
+    ``within_ss`` holds each arm's sum of squared deviations from its own
+    mean, free of the cancellation that raw sums suffer at large means;
+    :meth:`from_sums` builds it from raw sums of squared responses. Arms
+    with ``n == 0`` contribute nothing and must have zero mean and within_ss.
     """
 
     n: tuple[int, ...]
     mean: tuple[float, ...]
-    ss: tuple[float, ...]
+    within_ss: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", tuple(int(x) for x in self.n))
         object.__setattr__(self, "mean", tuple(float(x) for x in self.mean))
-        object.__setattr__(self, "ss", tuple(float(x) for x in self.ss))
-        if not (len(self.n) == len(self.mean) == len(self.ss)):
-            raise DomainError("n, mean and ss must have equal length")
+        object.__setattr__(self, "within_ss", tuple(float(x) for x in self.within_ss))
+        if not (len(self.n) == len(self.mean) == len(self.within_ss)):
+            raise DomainError("n, mean and within_ss must have equal length")
         if len(self.n) < 2:
             raise DomainError("data must cover a control and at least one experimental arm")
-        for j, (nj, mj, sj) in enumerate(zip(self.n, self.mean, self.ss)):
-            for field, x in (("mean", mj), ("ss", sj)):
-                if not math.isfinite(x):
-                    raise DomainError(f"arm {j}: {field} must be finite, got {x!r}")
+        for j, (nj, mj, wj) in enumerate(zip(self.n, self.mean, self.within_ss)):
+            if not math.isfinite(mj):
+                raise DomainError(f"arm {j}: mean must be finite, got {mj!r}")
+            if not (0.0 <= wj < math.inf):
+                raise DomainError(f"arm {j}: within_ss must be finite and >= 0, got {wj!r}")
             if nj < 0:
                 raise DomainError(f"arm {j}: sample size must be >= 0")
-            if nj == 0:
-                if mj != 0.0 or sj != 0.0:
-                    raise DomainError(f"arm {j}: empty arm must have zero mean and ss")
-                continue
+            if nj == 0 and (mj != 0.0 or wj != 0.0):
+                raise DomainError(f"arm {j}: empty arm must have zero mean and within_ss")
+
+    @classmethod
+    def from_sums(
+        cls,
+        n: Sequence[int],
+        mean: Sequence[float],
+        ss: Sequence[float],
+    ) -> "TrialData":
+        """Build from raw (uncentred) sums of squared responses."""
+        n = tuple(int(x) for x in n)
+        mean = tuple(float(x) for x in mean)
+        ss = tuple(float(x) for x in ss)
+        if not (len(n) == len(mean) == len(ss)):
+            raise DomainError("n, mean and ss must have equal length")
+        within = []
+        for j, (nj, mj, sj) in enumerate(zip(n, mean, ss)):
+            if not math.isfinite(sj):
+                raise DomainError(f"arm {j}: ss must be finite, got {sj!r}")
             # Cauchy-Schwarz floor: sum of squares can never fall below n * mean^2.
             floor = nj * mj * mj
-            if sj < floor - 1e-9 * max(1.0, abs(floor)):
+            if floor - sj > 1e-9 * max(1.0, sj) and math.isfinite(mj):
                 raise DataInconsistencyError(
                     f"arm {j}: ss={sj!r} is below the minimum {floor!r} implied by the mean"
                 )
+            within.append(max(sj - floor, 0.0))
+        return cls(n=n, mean=mean, within_ss=tuple(within))
 
     @classmethod
     def from_moments(
@@ -212,20 +233,17 @@ class TrialData:
     ) -> "TrialData":
         """Build from per-arm sample standard deviations (ddof=1)."""
         n = tuple(int(x) for x in n)
-        mean = tuple(float(x) for x in mean)
         sd = tuple(float(x) for x in sd)
         if not (len(n) == len(mean) == len(sd)):
             raise DomainError("n, mean and sd must have equal length")
-        ss = []
-        for j, (nj, mj, sj) in enumerate(zip(n, mean, sd)):
-            if not (0.0 <= sj < math.inf):
-                raise DomainError(f"arm {j}: sd must be finite and >= 0, got {sj!r}")
-            ss.append((nj - 1) * sj * sj + nj * mj * mj if nj > 0 else 0.0)
-            if math.isinf(ss[-1]) and math.isfinite(mj):
+        within = []
+        for j, (nj, sj) in enumerate(zip(n, sd)):
+            within.append((nj - 1) * sj * sj if nj > 0 else 0.0)
+            if not (0.0 <= sj < math.inf and within[-1] < math.inf):
                 raise DomainError(
-                    f"arm {j}: mean {mj!r} and sd {sj!r} give a sum of squares beyond the float range"
+                    f"arm {j}: sd must be finite, >= 0 and give a finite sum of squares, got {sj!r}"
                 )
-        return cls(n=n, mean=mean, ss=tuple(ss))
+        return cls(n=n, mean=mean, within_ss=tuple(within))
 
     @property
     def k(self) -> int:
@@ -240,8 +258,7 @@ class TrialData:
         nj = self.n[arm]
         if nj < 2:
             raise DomainError(f"arm {arm}: variance needs n >= 2, got {nj}")
-        centred = self.ss[arm] - nj * self.mean[arm] ** 2
-        return max(centred, 0.0) / (nj - 1)
+        return self.within_ss[arm] / (nj - 1)
 
     def sample_sd(self, arm: int) -> float:
         return math.sqrt(self.sample_variance(arm))

@@ -135,6 +135,28 @@ class TestAnalyze:
         for fname in ("analysis.csv", "analysis_report.txt"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_raw_sums_match_standard_errors(self, tmp_path, case_doc):
+        # The same data given as raw sums of squared responses, sum(y^2) =
+        # (n - 1) sd^2 + n mean^2, analyses as the standard errors do.
+        def analysis(name):
+            cfg = write_config(tmp_path, case_doc, name=f"{name}.json")
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            return csv_rows(tmp_path / name / "analysis.csv")
+
+        want = analysis("se")
+        data = case_doc["data"]
+        data["ss"] = [
+            (n - 1) * (se * math.sqrt(n)) ** 2 + n * m * m
+            for n, m, se in zip(data["n"], data["mean"], data.pop("se"))
+        ]
+        got = analysis("ss")
+        assert len(got) == len(want)
+        for row_got, row_want in zip(got, want):
+            assert row_got[:3] == row_want[:3]
+            for g, w in zip(row_got[3:], row_want[3:]):
+                if g != w:
+                    assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=1e-15), row_want
+
     def test_needs_some_precision_model(self, tmp_path, two_doc):
         del two_doc["design"]["v"]
         two_doc["data"] = {"n": [1, 1, 1], "mean": [0.0, 0.1, 0.2], "sd": [1.0, 1.0, 1.0]}
@@ -320,6 +342,18 @@ class TestBadInput:
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_raw_sums_below_the_mean_floor(self, tmp_path, case_doc, capsys):
+        # Raw sums can never fall below n * mean^2; arm 2 does.
+        data = case_doc["data"]
+        del data["se"]
+        data["ss"] = [n * m * m for n, m in zip(data["n"], data["mean"])]
+        data["ss"][2] *= 0.5
+        cfg = write_config(tmp_path, case_doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "arm 2: ss=" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key", [

@@ -58,18 +58,18 @@ class TestUpdatePrecision:
         assert case_update.beta == pytest.approx(49.0 + h / 2.0, rel=1e-14)
 
     def test_contribution_formula_single_arm(self):
-        # One arm by hand: (ss - n ybar^2) + q0 n (ybar - mu0)^2 / (q0 + n).
+        # One arm by hand: within_ss + q0 n (ybar - mu0)^2 / (q0 + n).
         priors = (ArmPrior(1.0, 3.0), ArmPrior(0.0, 0.0))
-        data = TrialData(n=(5, 0), mean=(2.0, 0.0), ss=(30.0, 0.0))
+        data = TrialData(n=(5, 0), mean=(2.0, 0.0), within_ss=(10.0, 0.0))
         upd = update_precision(priors, PrecisionPrior(2.0, 10.0, 0.9), data)
-        want = (30.0 - 5 * 4.0) + 3.0 * 5 * 1.0 / 8.0
+        want = 10.0 + 3.0 * 5 * 1.0 / 8.0
         assert upd.contributions[0] == pytest.approx(want, rel=1e-14)
         assert upd.contributions[1] == 0.0
         assert upd.alpha == 2.0 + 2.5
         assert upd.beta == pytest.approx(10.0 + want / 2.0)
 
     def test_empty_data_returns_prior(self, dose_config):
-        data = TrialData(n=(0,) * 5, mean=(0.0,) * 5, ss=(0.0,) * 5)
+        data = TrialData(n=(0,) * 5, mean=(0.0,) * 5, within_ss=(0.0,) * 5)
         upd = update_precision(dose_config.priors, PrecisionPrior(1.0, 49.0, 0.9), data)
         assert upd.alpha == 1.0
         assert upd.beta == 49.0

@@ -1,9 +1,13 @@
-"""Every name a library module imports is used.
+"""Every name a library module imports is used, and every private
+module-level name is referenced.
 
 Parses each ``src/multiarm/*.py`` with :mod:`ast` (standard library only,
 nothing is imported) and lists the imported names that no expression,
 annotation or ``__all__`` entry of the module refers to. ``__init__.py``
-is exempt: its imports are the package's re-exports.
+is exempt: its imports are the package's re-exports. It also lists the
+private names (``_x``) a module defines at its top level that no module
+of the package reads, imports or takes as an attribute, so a
+simplification cannot leave a dead helper behind.
 """
 
 from __future__ import annotations
@@ -41,6 +45,39 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Top-level private names of ``sources`` (file name to text) that no
+    module of ``sources`` refers to."""
+    defined: dict[tuple[str, str], int] = {}
+    used: set[str] = set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[file, name] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [
+        f"{file} line {line}: {name}"
+        for (file, name), line in defined.items()
+        if name not in used
+    ]
+
+
 def test_finds_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "line 1: math",
@@ -62,3 +99,20 @@ def test_counts_annotations_and_all():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_finds_unreferenced_private():
+    sources = {
+        "a.py": "_LIMIT = 3\n_dead = 2\ndef _helper():\n    return _LIMIT\n",
+        "b.py": "from a import _helper\n_unused: int = 1\nclass _Gone: ...\n",
+    }
+    assert unreferenced_privates(sources) == [
+        "a.py line 2: _dead",
+        "b.py line 2: _unused",
+        "b.py line 3: _Gone",
+    ]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -68,7 +68,7 @@ class TestUpdatePosterior:
 
     def test_hand_computed_single_arm(self):
         prior = (ArmPrior(0.0, 4.0), ArmPrior(1.0, 1.0))
-        data = TrialData(n=(8, 2), mean=(0.5, 2.0), ss=(4.0, 9.0))
+        data = TrialData(n=(8, 2), mean=(0.5, 2.0), within_ss=(2.0, 1.0))
         s = update_posterior(prior, data)
         assert s.mean[0] == pytest.approx((4.0 * 0.0 + 8 * 0.5) / 12.0)
         assert s.mean[1] == pytest.approx((1.0 * 1.0 + 2 * 2.0) / 3.0)
@@ -76,7 +76,7 @@ class TestUpdatePosterior:
         assert s.pair_information[0] == pytest.approx(12.0 * 3.0 / 15.0)
 
     def test_no_data_returns_prior(self, dose_config):
-        data = TrialData(n=(0,) * 5, mean=(0.0,) * 5, ss=(0.0,) * 5)
+        data = TrialData(n=(0,) * 5, mean=(0.0,) * 5, within_ss=(0.0,) * 5)
         s = update_posterior(dose_config.priors, data)
         assert s.mean == tuple(p.mean for p in dose_config.priors)
         assert s.information == tuple(p.information for p in dose_config.priors)
