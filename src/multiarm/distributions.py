@@ -116,9 +116,10 @@ def equicorr_max_cdf(
 
     With ``density`` the result is (cdf, density, nodes): the density of
     the max at ``x`` comes from the same nodes as the CDF, and ``nodes``
-    is the node count of the rule used (None for the closed forms).
-    Given ``nodes``, the rule is fixed at that count instead of refined,
-    and the value carries no error estimate.
+    is the quadrature level used (None for the closed forms). Given
+    ``nodes``, the level is fixed instead of refined; the level comes back
+    only when its own error estimate meets tol at ``x``, and None
+    otherwise.
     """
     x = float(x)
     if math.isnan(x):
@@ -170,12 +171,13 @@ def equicorr_max_quantile(
     Newton's method runs from ``start`` (when inside the bracket; a
     nearby root, say) on one rule: the first iterate refines its node
     count, later iterates reuse it, so the CDF they solve is smooth in x,
-    and each gives CDF and density in one pass. A step that would leave
-    the bracket bisects it instead. Convergence is quadratic, so once a
-    step falls below ``_NEWTON_STOP`` relative the next would be below
-    rounding; the root is then confirmed on the half-size rule, which
-    must agree with ``p`` within tol, or the rule is refined afresh there
-    and Newton goes on. Without ``start`` it sets out from
+    and each gives CDF and density in one pass. Convergence is
+    quadratic, so once a Newton step falls below ``_NEWTON_STOP``
+    relative the next would be below rounding: the step is the root when
+    the fixed rule's own error estimate meets tol at the last iterate,
+    and otherwise the rule is refined afresh there and Newton goes on. A
+    larger step that would leave the bracket bisects it instead, and a
+    bisection never ends the solve. Without ``start`` it sets out from
     lo + (1 - rho)**(1/4) * (hi - lo), an empirical fit to where the root
     sits in the bracket (0.034 off at the median over k = 2..8).
     """
@@ -197,7 +199,8 @@ def equicorr_max_quantile(
     x = start if start is not None and lo < start < hi else lo + (1.0 - spec.rho) ** 0.25 * (hi - lo)
     nodes = None
     for _ in range(_NEWTON_STEPS):
-        cdf, pdf, nodes = equicorr_max_cdf(spec, x, tol=tol, density=True, nodes=nodes)
+        cdf, pdf, held = equicorr_max_cdf(spec, x, tol=tol, density=True, nodes=nodes)
+        nodes = nodes or held
         if cdf == p:
             return x
         if cdf < p:
@@ -205,11 +208,11 @@ def equicorr_max_quantile(
         else:
             hi = x
         new = x + (p - cdf) / pdf if pdf > 0.0 else math.nan
-        if not (lo < new < hi):
-            new = 0.5 * (lo + hi)
-        step, x = new - x, new
-        if abs(step) <= _NEWTON_STOP * max(1.0, abs(x)):
-            if abs(equicorr_max_cdf(spec, x, tol=tol, nodes=nodes // 2) - p) <= tol:
-                return x
+        if abs(new - x) <= _NEWTON_STOP * max(1.0, abs(x)):
+            if held is not None:
+                return new
             nodes = None
+        elif not (lo < new < hi):
+            new = 0.5 * (lo + hi)
+        x = new
     raise NumericError(f"quantile Newton solve did not converge for {spec!r} at p={p!r}")

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used, and every private
-module-level name is referenced.
+"""Every name a library module imports is used, every private
+module-level name is referenced, and the quadrature loads no
+``scipy.linalg``.
 
 Parses each ``src/multiarm/*.py`` with :mod:`ast` (standard library only,
 nothing is imported) and lists the imported names that no expression,
@@ -13,6 +14,9 @@ simplification cannot leave a dead helper behind.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +120,20 @@ def test_finds_unreferenced_private():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def test_kernels_load_no_scipy_linalg():
+    # The rules are built in numpy: a fresh interpreter that runs both
+    # kernels never imports scipy.linalg (44 modules).
+    script = (
+        "import sys, numpy as np\n"
+        "from multiarm import _quad\n"
+        "_quad.normal_expect(np.array([0.5, 2.0]), np.array([0.3, -1.0]), tol=1e-10)\n"
+        "_quad.gamma_sqrt_expect(np.array([0.5, 2.0]), np.array([0.3, -1.0]), 3.0, 3.0, tol=1e-10)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert result.stdout.strip() == "[]"
