@@ -1,25 +1,25 @@
 """Deterministic quadrature helpers.
 
-Every probability in this package that is not a closed form is one of
-two integrals over the shared control, both evaluated here with cached
-pairs of the n-point Gauss-Legendre rule G_n and its Kronrod extension
-K_2n+1, which reuses the n Gauss nodes (Kronrod 1965; D. P. Laurie, Math.
-Comp. 66 (1997) 1133-1145). One pass over the 2n + 1 nodes gives K_2n+1
-and its error estimate |K_2n+1 - G_n|; n doubles from 64 up to 1024
-until the estimate meets the tolerance. ``normal_expect`` is
-E[prod_j Phi(a_j U + c_j)] for U ~ N(0, 1), and ``gamma_sqrt_expect``
-mixes the same product over a gamma precision. Either can also return,
-from the same nodes, the derivative with respect to a common shift of
-every offset, and either can run once on a fixed level instead of
-refining (what a Newton solve needs), still with its error estimate.
+Every probability in this package that is not a closed form is one
+integral over the shared control, E[prod_j Phi(a_j U + c_j)] for
+U ~ N(0, 1), taken at a known precision or mixed over a gamma law on it;
+``shared_control_expect`` is the one place that picks between them. Both
+kernels use cached pairs of the n-point Gauss-Legendre rule G_n and its
+Kronrod extension K_2n+1, which reuses the n Gauss nodes (Kronrod 1965;
+D. P. Laurie, Math. Comp. 66 (1997) 1133-1145). One pass over the 2n + 1
+nodes gives K_2n+1 and its error estimate |K_2n+1 - G_n|; ``refine``
+doubles n from 64 up to 1024 until the estimate meets the tolerance.
+Both kernels form the arms' product in one core, ``_product``, and can
+return, from the same nodes, its derivative with respect to a common
+shift of every offset; the error estimate then judges the value alone.
 
-Mixing over V ~ Gamma(shape, rate) is one tensor rule on (t, u), where
-t = log(rate * V / shape) is the log-precision centred on the log of its
-mean and u the standard normal variable the arms share. The density of t
-is bounded and smooth for every shape, so one truncated Gauss-Kronrod
-rule per axis serves all shapes; its log-density is taken relative to
-the mode and the weights are normalised to unit mass, which keeps it
-accurate for very large shapes too.
+Mixing over V ~ Gamma(shape, shape) is one tensor rule on (t, u), where
+t = log V is the log-precision centred on the log of its mean and u the
+standard normal variable the arms share. The density of t is bounded and
+smooth for every shape, so one truncated Gauss-Kronrod rule per axis
+serves all shapes; its log-density is taken relative to the mode and the
+weights are normalised to unit mass, which keeps it accurate for very
+large shapes too.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr
 
-from .exceptions import NumericError
+from .exceptions import DomainError, NumericError
 
 # Standard normal density at 8.5 is ~1e-17, below every tolerance used
 # in this package, so phi-weighted integrands are truncated there.
@@ -171,47 +171,46 @@ def refine(
     raise NumericError(f"{label} did not reach tolerance {tol:g} within {2 * n + 1} nodes{last}")
 
 
-def _integrate(
-    evaluate: Callable[[int], np.ndarray],
-    *,
-    tol: float,
-    label: str,
-    density: bool,
-    nodes: int | None,
-) -> float | np.ndarray | tuple:
-    """Refine ``evaluate``, or run it once on the fixed level ``nodes``.
-
-    ``evaluate`` stacks (coarse, fine) on the first axis, and with
-    ``density`` the value and its derivative on the second: the error
-    estimate judges the value alone, and the result is (value, derivative,
-    level), the level None when a fixed level misses its own estimate.
-    """
-    if nodes is not None:
-        out = evaluate(nodes)
-        if density and np.abs(out[1, 0] - out[0, 0]).max() > tol:
-            nodes = None
-    elif not density:
-        return refine(evaluate, tol=tol, label=label)
-    else:
-        out = None
-
-        def value(n: int) -> np.ndarray:
-            nonlocal nodes, out
-            nodes, out = n, evaluate(n)
-            return out[:, 0]
-
-        refine(value, tol=tol, label=label)
-    return (out[1, 0], out[1, 1], nodes) if density else out[1]
+def _merge_arms(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arms of (rows, k) slopes ``a`` and offsets ``c`` equal in every row
+    merged, as (arms, rows) slopes and offsets and each one's number, by a
+    k x k test (``np.unique`` sorts); an arm with a NaN stays its own."""
+    arms = np.concatenate([a, c]).T.copy()
+    k = len(arms)
+    first = ((arms[:, None] == arms).all(axis=2) | np.eye(k, dtype=bool)).argmax(axis=0)
+    keep = first == np.arange(k)
+    arms = arms[keep]
+    return arms[:, :len(a)], arms[:, len(a):], np.bincount(first, minlength=k)[keep]
 
 
-def _product_rule(factors: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Derivative of the product of ``factors`` over axis 1, given each
-    factor's own derivative in ``slopes``."""
-    prod, deriv = factors[:, 0], slopes[:, 0]
-    for j in range(1, factors.shape[1]):
-        deriv = deriv * factors[:, j] + prod * slopes[:, j]
-        prod = prod * factors[:, j]
-    return deriv
+def _product(z: np.ndarray, counts: np.ndarray, density: bool, buffers: list[np.ndarray]) -> tuple:
+    """prod_j Phi(z_j)**m_j over the arms on axis 0 of ``z``, m = ``counts``,
+    and with ``density`` its derivative in a common shift of every z_j:
+    the product rule over the arms, m_j phi(z_j) Phi(z_j)**(m_j - 1) within
+    each. In place: ``buffers`` holds two arrays of z's shape, for the
+    factors and their derivatives, ``z`` takes the powers Phi**(m_j - 1),
+    and the results are views of the buffers' first arm."""
+    cdf, pdf = buffers
+    if density:
+        np.square(z, out=pdf)
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf *= (counts / _SQRT_2PI).reshape((-1,) + (1,) * (z.ndim - 1))
+    ndtr(z, out=cdf)
+    for j, m in enumerate(counts.tolist()):
+        if m > 1:
+            lower = np.power(cdf[j], m - 1, out=z[j])
+            cdf[j] *= lower
+            if density:
+                pdf[j] *= lower
+    value, deriv = cdf[0], pdf[0]
+    for j in range(1, len(counts)):
+        if density:
+            deriv *= cdf[j]
+            pdf[j] *= value
+            deriv += pdf[j]
+        value *= cdf[j]
+    return (value, deriv) if density else (value,)
 
 
 def normal_expect(
@@ -221,7 +220,6 @@ def normal_expect(
     tol: float,
     label: str = "normal expectation",
     density: bool = False,
-    nodes: int | None = None,
 ) -> float | np.ndarray | tuple:
     """E[prod_j Phi(slopes_j * U + offsets_j)] for U ~ N(0, 1).
 
@@ -235,11 +233,13 @@ def normal_expect(
     exceeds ``_STEEP``, each row's window is cut into three panels at the
     transition u* = -c/a of its steepest factor, u* +- GAUSS_TAIL / |a|
     (clipped to the window), with the level's 2n + 1 nodes in each panel.
+    Arms equal in every row are evaluated once, raised to their number.
 
     An infinite offset pins its factor at 1 (+inf) or 0 (-inf) for every
-    u; a flat factor at offset +-40 rounds to exactly that. ``density``
-    and ``nodes`` are those of ``_integrate``; the derivative is with
-    respect to h in Phi(slopes_j * U + offsets_j + h), at h = 0.
+    u; a flat factor at offset +-40 rounds to exactly that. With
+    ``density`` the result is (value, derivative), the derivative with
+    respect to h in Phi(slopes_j * U + offsets_j + h), at h = 0, from the
+    same nodes.
     """
     c = np.asarray(offsets, dtype=float)
     scalar = c.ndim == 1
@@ -250,7 +250,7 @@ def normal_expect(
     if pinned.any():
         a[pinned] = 0.0
         c = np.where(pinned, np.copysign(40.0, c), c)
-    rows, k = c.shape
+    rows = len(c)
     tail = a * (c < 0.0)
     mode = (tail * c).sum(axis=1) / -(1.0 + (tail * tail).sum(axis=1))
     # Panel p of row r maps x in [-1, 1] to u = mid[r, p] + half[r, p] * x.
@@ -265,33 +265,32 @@ def normal_expect(
         mid = 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
     mass = half / _SQRT_2PI
+    a, c, counts = _merge_arms(a, c)
     a, c = a[:, :, None], c[:, :, None]
 
     def evaluate(n: int) -> np.ndarray:
         x, w = legendre_rule(-1.0, 1.0, n)
         out = np.empty((2, 1 + density, rows))
-        step = max(1, _BLOCK // (k * mid.shape[1] * x.size))
+        step = max(1, _BLOCK // (len(counts) * mid.shape[1] * x.size))
         # Reused: a fresh array of this size costs a page fault per page.
-        buffers = np.empty((2, min(step, rows), k, mid.shape[1] * x.size))
+        buffers = np.empty((3, len(counts), min(step, rows), mid.shape[1] * x.size))
         for r in range(0, rows, step):
             s = slice(r, r + step)
             grid = mid[s] + half[s] * x
             u = grid.reshape(len(grid), -1)
-            z, factors = buffers[:, :len(u)]
-            np.add(np.multiply(a[s], u[:, None], out=z), c[s], out=z)
-            ndtr(z, out=factors)
-            parts = [factors.prod(axis=1)]
-            if density:
-                parts.append(_product_rule(factors, np.exp(-0.5 * z * z) / _SQRT_2PI))
-            for i, f in enumerate(parts):
-                f = (f * np.exp(-0.5 * u * u)).reshape(grid.shape)
+            z, *work = buffers[:, :, :len(u)]
+            np.add(np.multiply(a[:, s], u, out=z), c[:, s], out=z)
+            weight = np.exp(-0.5 * u * u)
+            for i, f in enumerate(_product(z, counts, density, work)):
+                f = (f * weight).reshape(grid.shape)
                 out[:, i, s] = ((f @ w) * mass[s]).sum(axis=1).T
-        return out if density else out[:, 0]
+        # The error estimate judges the value alone.
+        out[0, 1:] = out[1, 1:]
+        return out
 
-    result = _integrate(evaluate, tol=tol, label=label, density=density, nodes=nodes)
-    if not scalar:
-        return result
-    return (result[0][0], result[1][0], result[2]) if density else result[0]
+    result = refine(evaluate, tol=tol, label=label)
+    result = result[:, 0] if scalar else result
+    return tuple(result) if density else result[0]
 
 
 def _log_gamma_domain(shape: float) -> tuple[float, float]:
@@ -314,74 +313,75 @@ def gamma_sqrt_expect(
     slopes: np.ndarray,
     offsets: np.ndarray,
     shape: float,
-    rate: float,
     *,
     tol: float,
     label: str = "gamma expectation",
     density: bool = False,
-    nodes: int | None = None,
-) -> float | tuple[float, float, int]:
+) -> float | tuple[float, float]:
     """E[prod_j Phi(slopes_j * U + offsets_j * sqrt(V))] for U ~ N(0, 1)
-    independent of V ~ Gamma(shape, rate).
+    independent of V ~ Gamma(shape, shape), the gamma law of unit mean,
+    for one row of offsets, (k,) or (1, k).
 
     Level n takes the 2n + 1 Kronrod nodes on each axis and weighs one
-    tensor of integrand values by K_2n+1 and by G_n on both axes. Arms
-    that share a (slope, offset) pair are evaluated once and raised to their
-    multiplicity; the product over arms accumulates in one buffer of at
-    most ``_BLOCK`` entries, filled a block of t rows at a time.
-    ``density`` and ``nodes`` are those of ``_integrate``; the derivative
-    is with respect to h in Phi(slopes_j * U + (offsets_j + h) * sqrt(V)),
-    at h = 0. A pair of multiplicity m contributes m phi Phi**(m-1)
-    sqrt(V) to it, so Phi**(m-1) is formed once and gives Phi**m too; the
-    derivative of the product accumulates by the product rule in buffers
-    of the same size.
+    tensor of integrand values by K_2n+1 and by G_n on both axes. Equal
+    arms are evaluated once and raised to their number, and the arms'
+    product fills buffers of at most ``_BLOCK`` entries a block of t rows
+    at a time. With ``density`` the result is (value, derivative), the
+    derivative with respect to h in
+    Phi(slopes_j * U + (offsets_j + h) * sqrt(V)), at h = 0. A law so
+    narrow that its domain rounds to a point is V = 1, ``normal_expect``.
     """
-    pairs, counts = np.unique(
-        np.column_stack([np.ravel(slopes), np.ravel(offsets)]), axis=0, return_counts=True
-    )
+    c = np.asarray(offsets, dtype=float)
+    if c.ndim > 1 and len(c) > 1:
+        raise DomainError(f"{label}: the gamma mix takes one row of offsets, got {len(c)}")
+    c = c.reshape(1, -1)
     t_lo, t_hi = _log_gamma_domain(shape)
-    scale = math.sqrt(shape / rate)
+    if not t_hi > t_lo:
+        return normal_expect(slopes, c[0], tol=tol, label=label, density=density)
+    a, c, counts = _merge_arms(np.broadcast_to(slopes, c.shape), c)
+    a, c = a[:, 0], c[:, 0]
 
     def evaluate(n: int) -> np.ndarray:
         t, w_t = legendre_rule(t_lo, t_hi, n)
         w_t = w_t * np.exp(-shape * (np.expm1(t) - t))[:, None]
         u, w_u = legendre_rule(-GAUSS_TAIL, GAUSS_TAIL, n)
         w_u = w_u * np.exp(-0.5 * u * u)[:, None]
-        s = scale * np.exp(0.5 * t)
-        rows = min(t.size, _BLOCK // t.size)
-        # Value and derivative accumulators, a term of each, and Phi**(m-1);
-        # without the density the last three are never touched.
-        buffers = np.empty((5, rows, t.size))
+        s = np.exp(0.5 * t)
+        # The derivative carries the sqrt(V) = s of each offset's shift.
+        w_ts = (w_t, w_t * s[:, None])
+        step = max(1, _BLOCK // (len(counts) * u.size))
+        buffers = np.empty((3, len(counts), min(step, t.size), u.size))
         total = np.zeros((1 + density, 2))
-        for r in range(0, t.size, rows):
-            block = s[r:r + rows]
-            acc, tmp, dacc, dtmp, lower = buffers[:, :block.size]
-            for j, ((a, c), m) in enumerate(zip(pairs, counts)):
-                out = acc if j == 0 else tmp
-                np.add.outer(c * block, a * u, out=out)
-                if density:
-                    dout = dacc if j == 0 else dtmp
-                    np.multiply(out, -0.5 * out, out=dout)
-                    np.exp(dout, out=dout)
-                    dout *= (m / _SQRT_2PI) * block[:, None]
-                ndtr(out, out=out)
-                if m > 1 and density:
-                    np.power(out, m - 1, out=lower)
-                    dout *= lower
-                    out *= lower
-                elif m > 1:
-                    np.power(out, m, out=out)
-                if j > 0:
-                    if density:
-                        dacc *= tmp
-                        dtmp *= acc
-                        dacc += dtmp
-                    acc *= tmp
-            total[0] += (w_t[r:r + rows] * (acc @ w_u)).sum(axis=0)
-            if density:
-                total[1] += (w_t[r:r + rows] * (dacc @ w_u)).sum(axis=0)
+        for r in range(0, t.size, step):
+            block = s[r:r + step]
+            z, *work = buffers[:, :, :block.size]
+            np.add((c[:, None] * block)[:, :, None], (a[:, None] * u)[:, None], out=z)
+            for i, f in enumerate(_product(z, counts, density, work)):
+                total[i] += (w_ts[i][r:r + step] * (f @ w_u)).sum(axis=0)
         total /= w_t.sum(axis=0) * w_u.sum(axis=0)
-        return total.T if density else total[0]
+        # The error estimate judges the value alone.
+        total[1:, 0] = total[1:, 1]
+        return total.T
 
-    result = _integrate(evaluate, tol=tol, label=label, density=density, nodes=nodes)
-    return result if density else float(result)
+    result = refine(evaluate, tol=tol, label=label)
+    return (float(result[0]), float(result[1])) if density else float(result[0])
+
+
+def shared_control_expect(
+    slopes: np.ndarray,
+    offsets: np.ndarray,
+    df: float,
+    *,
+    tol: float,
+    label: str,
+    density: bool = False,
+) -> float | np.ndarray | tuple:
+    """``normal_expect`` at a known precision, df = inf; otherwise
+    ``gamma_sqrt_expect`` over V ~ Gamma(df/2, df/2), the precision behind
+    Student tails of df degrees of freedom, its errors labelled Student.
+    The one place where a finite df becomes that gamma law."""
+    if math.isinf(df):
+        return normal_expect(slopes, offsets, tol=tol, label=label, density=density)
+    return gamma_sqrt_expect(
+        slopes, offsets, 0.5 * df, tol=tol, label=f"{label} (Student)", density=density
+    )

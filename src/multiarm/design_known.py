@@ -26,12 +26,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
+from scipy.special import ndtr, ndtri
 
-from ._quad import gamma_sqrt_expect, normal_expect
+from ._quad import shared_control_expect
 from .distributions import (
     _NEWTON_STEPS,
     _NEWTON_STOP,
+    _student_cdf,
     EquicorrSpec,
     equicorr_max_quantile,
     normal_quantile,
@@ -162,7 +163,7 @@ def _worst_case_shortfall(
 ) -> float | np.ndarray:
     """Abandonment probability P(all effects < delta_star) at the worst
     data on which no arm is promising, for posterior information ``q1``
-    (control first; one design or a batch of rows) at response
+    (control first; one design, or at df = inf a batch of rows) at response
     ``variance`` and effect tails of ``df`` degrees of freedom.
 
     It falls as any estimate rises, so the worst data put each estimate
@@ -180,19 +181,14 @@ def _worst_case_shortfall(
         ratio = q_exp / q_ctl
         pair = np.where(q_ctl + q_exp > 0.0, q_exp * q_ctl / (q_ctl + q_exp), 0.0)
     least = (config.delta_star * np.sqrt(pair / variance) - t_eta).min(axis=1)
-    out = ndtr(least) if math.isinf(df) else stdtr(df, least)
+    out = _student_cdf(df, least)
     joint = np.isfinite(ratio).all(axis=1) & (_criterion_arms(config, criterion) > 1)
     if joint.any():
         slopes, ratio = np.sqrt(ratio[joint]), ratio[joint]
         offsets = config.delta_star * np.sqrt(q_exp[joint] / variance) - t_eta * np.sqrt(1.0 + ratio)
-        label = "worst-case abandonment probability"
-        if math.isinf(df):
-            out[joint] = normal_expect(slopes, offsets, tol=_TOL, label=label)
-        else:
-            out[joint] = [
-                gamma_sqrt_expect(a, c, 0.5 * df, 0.5 * df, tol=_TOL, label=label)
-                for a, c in zip(slopes, offsets)
-            ]
+        out[joint] = shared_control_expect(
+            slopes, offsets, df, tol=_TOL, label="worst-case abandonment probability"
+        )
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if np.ndim(q1) == 1 else out
 

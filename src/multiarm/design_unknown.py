@@ -118,6 +118,9 @@ def _assured_variance(n_total: float, prior: PrecisionPrior) -> tuple[float, flo
     if not (0.0 <= n_total < math.inf):
         raise DomainError(f"n_total must be a finite nonnegative number, got {n_total!r}")
     rest = beta_quantile(prior.alpha, 0.5 * n_total, 1.0 - prior.assurance) if n_total > 2e-12 else 1.0
+    # SciPy gives NaN for this quantile at n/2 beyond about 1e160, where
+    # it lies far below any budget.
+    rest = 0.0 if math.isnan(rest) else rest
     if rest < 1e-12:
         raise InfeasibleDesignError(
             f"assurance {prior.assurance!r} leaves no precision budget at n={n_total!r}: "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri, poch, stdtr, stdtrit
 
-from ._quad import gamma_sqrt_expect, normal_expect
+from ._quad import shared_control_expect
 from .exceptions import DomainError, NumericError
 
 __all__ = [
@@ -94,6 +94,11 @@ def beta_quantile(a: float, b: float, p: float) -> float:
     return float(betaincinv(a, b, p))
 
 
+def _student_cdf(df: float, x: float | np.ndarray) -> float | np.ndarray:
+    """Student t CDF at x, an array too; df = inf for the standard normal."""
+    return ndtr(x) if math.isinf(df) else stdtr(df, x)
+
+
 def _student_density(df: float, x: float) -> float:
     """Density of a Student t law at x; df = inf for the standard normal."""
     if math.isinf(df):
@@ -110,28 +115,23 @@ def equicorr_max_cdf(
     tol: float = 1e-10,
     *,
     density: bool = False,
-    nodes: int | None = None,
-) -> float | tuple[float, float, int | None]:
+) -> float | tuple[float, float]:
     """CDF of the largest of the k statistics at threshold ``x``.
 
-    With ``density`` the result is (cdf, density, nodes): the density of
-    the max at ``x`` comes from the same nodes as the CDF, and ``nodes``
-    is the quadrature level used (None for the closed forms). Given
-    ``nodes``, the level is fixed instead of refined; the level comes back
-    only when its own error estimate meets tol at ``x``, and None
-    otherwise.
+    With ``density`` the result is (cdf, density): the density of the max
+    at ``x`` comes from the same nodes as the CDF.
     """
     x = float(x)
     if math.isnan(x):
         raise DomainError("threshold must not be NaN")
     if math.isinf(x):
         cdf = 1.0 if x > 0 else 0.0
-        return (cdf, 0.0, None) if density else cdf
+        return (cdf, 0.0) if density else cdf
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol!r}")
     if spec.k == 1:
-        cdf = float(ndtr(x) if math.isinf(spec.df) else stdtr(spec.df, x))
-        return (cdf, _student_density(spec.df, x), None) if density else cdf
+        cdf = float(_student_cdf(spec.df, x))
+        return (cdf, _student_density(spec.df, x)) if density else cdf
 
     # Given U, each component is below x S when
     # Z_j < (x S - sqrt(rho) U) / sqrt(1 - rho), where S = 1 in the normal
@@ -140,20 +140,13 @@ def equicorr_max_cdf(
     sq_comp = math.sqrt(1.0 - spec.rho)
     slopes = np.full(spec.k, -math.sqrt(spec.rho) / sq_comp)
     offsets = np.full(spec.k, x / sq_comp)
-    if math.isinf(spec.df):
-        out = normal_expect(
-            slopes, offsets, tol=tol, label="equicorrelated max CDF", density=density, nodes=nodes,
-        )
-    else:
-        half_df = 0.5 * spec.df
-        out = gamma_sqrt_expect(
-            slopes, offsets, half_df, half_df, tol=tol,
-            label="equicorrelated max CDF (Student)", density=density, nodes=nodes,
-        )
+    out = shared_control_expect(
+        slopes, offsets, spec.df, tol=tol, label="equicorrelated max CDF", density=density,
+    )
     if not density:
         return min(max(float(out), 0.0), 1.0)
-    value, deriv, used = out
-    return min(max(float(value), 0.0), 1.0), float(deriv) / sq_comp, used
+    value, deriv = out
+    return min(max(float(value), 0.0), 1.0), float(deriv) / sq_comp
 
 
 def equicorr_max_quantile(
@@ -169,15 +162,12 @@ def equicorr_max_quantile(
     independence quantile at ``p**(1/k)``; positive exchangeable
     dependence guarantees the CDF crosses ``p`` inside that interval.
     Newton's method runs from ``start`` (when inside the bracket; a
-    nearby root, say) on one rule: the first iterate refines its node
-    count, later iterates reuse it, so the CDF they solve is smooth in x,
-    and each gives CDF and density in one pass. Convergence is
-    quadratic, so once a Newton step falls below ``_NEWTON_STOP``
-    relative the next would be below rounding: the step is the root when
-    the fixed rule's own error estimate meets tol at the last iterate,
-    and otherwise the rule is refined afresh there and Newton goes on. A
-    larger step that would leave the bracket bisects it instead, and a
-    bisection never ends the solve. Without ``start`` it sets out from
+    nearby root, say), each iterate refining its CDF to tol and taking
+    the density from the same nodes. Convergence is quadratic, so once a
+    Newton step falls below ``_NEWTON_STOP`` relative the next would be
+    below rounding, and that step is the root. A larger step that would
+    leave the bracket bisects it instead, and a bisection never ends the
+    solve. Without ``start`` it sets out from
     lo + (1 - rho)**(1/4) * (hi - lo), an empirical fit to where the root
     sits in the bracket (0.034 off at the median over k = 2..8).
     """
@@ -187,20 +177,14 @@ def equicorr_max_quantile(
     if spec.rho == 0.0 and math.isinf(spec.df):
         return float(ndtri(p ** (1.0 / spec.k)))
 
-    p_single = p ** (1.0 / spec.k)
-    if math.isinf(spec.df):
-        lo, hi = float(ndtri(p)), float(ndtri(p_single))
-    else:
-        lo, hi = float(stdtrit(spec.df, p)), float(stdtrit(spec.df, p_single))
+    lo, hi = t_quantile(spec.df, p), t_quantile(spec.df, p ** (1.0 / spec.k))
     pad = 1e-8 * max(1.0, abs(lo), abs(hi))
     lo -= pad
     hi += pad
 
     x = start if start is not None and lo < start < hi else lo + (1.0 - spec.rho) ** 0.25 * (hi - lo)
-    nodes = None
     for _ in range(_NEWTON_STEPS):
-        cdf, pdf, held = equicorr_max_cdf(spec, x, tol=tol, density=True, nodes=nodes)
-        nodes = nodes or held
+        cdf, pdf = equicorr_max_cdf(spec, x, tol=tol, density=True)
         if cdf == p:
             return x
         if cdf < p:
@@ -209,10 +193,8 @@ def equicorr_max_quantile(
             hi = x
         new = x + (p - cdf) / pdf if pdf > 0.0 else math.nan
         if abs(new - x) <= _NEWTON_STOP * max(1.0, abs(x)):
-            if held is not None:
-                return new
-            nodes = None
-        elif not (lo < new < hi):
+            return new
+        if not (lo < new < hi):
             new = 0.5 * (lo + hi)
         x = new
     raise NumericError(f"quantile Newton solve did not converge for {spec!r} at p={p!r}")

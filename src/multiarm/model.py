@@ -375,14 +375,6 @@ class GammaUpdate:
         _check_positive("beta", self.beta)
         object.__setattr__(self, "contributions", tuple(float(x) for x in self.contributions))
 
-    @property
-    def precision(self) -> GammaPrecision:
-        return GammaPrecision(self.alpha, self.beta)
-
-    @property
-    def total_contribution(self) -> float:
-        return sum(self.contributions)
-
 
 @dataclass(frozen=True)
 class PrecisionSummary:

@@ -24,9 +24,9 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
-from ._quad import gamma_sqrt_expect, normal_expect
+from ._quad import shared_control_expect
+from .distributions import _student_cdf
 from .exceptions import DomainError
 from .model import (
     ArmPrior,
@@ -106,7 +106,7 @@ def _scaled_information(
 def _difference_cdf(df: float, mean: float, qv: np.ndarray, a: int, b: int) -> float:
     """P(mu_a - mu_b > 0) for a posterior difference with mean ``mean``."""
     standardised = mean / math.sqrt(1.0 / qv[a] + 1.0 / qv[b])
-    return float(ndtr(standardised) if math.isinf(df) else stdtr(df, standardised))
+    return float(_student_cdf(df, standardised))
 
 
 def prob_superior(summary: PosteriorSummary, precision: PrecisionModel, arm: int) -> float:
@@ -121,10 +121,12 @@ def _joint_below_given_control(
     slopes: np.ndarray,
     offsets: np.ndarray,
     tol: float,
+    df: float = math.inf,
 ) -> float | np.ndarray:
-    """Joint shortfall probability for one row of offsets or a batch; traced
-    benchmark runs report it as the ``posterior.kernel`` layer."""
-    return normal_expect(slopes, offsets, tol=tol, label="joint shortfall probability")
+    """Joint shortfall probability for one row of offsets or, at a known
+    precision (df = inf), a batch; traced benchmark runs report it as the
+    ``posterior.kernel`` layer."""
+    return shared_control_expect(slopes, offsets, df, tol=tol, label="joint shortfall probability")
 
 
 def prob_all_below(
@@ -148,12 +150,7 @@ def prob_all_below(
     # Finite df scales every c_j by sqrt(W), W ~ Gamma(df/2, df/2).
     slopes = np.sqrt(qv[1:] / qv[0])
     offsets = (threshold - np.asarray(summary.effects)) * np.sqrt(qv[1:])
-    if math.isinf(df):
-        value = float(_joint_below_given_control(slopes, offsets, tol))
-    else:
-        value = gamma_sqrt_expect(
-            slopes, offsets, 0.5 * df, 0.5 * df, tol=tol, label="joint shortfall probability",
-        )
+    value = float(_joint_below_given_control(slopes, offsets, tol, df))
     return min(max(value, 0.0), 1.0)
 
 

@@ -109,6 +109,30 @@ class TestDesignUnknown:
         assert main(["design-unknown", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("allocation", [1e150, 1e200, 1e300])
+    def test_allocation_leaves_no_precision_budget(self, tmp_path, capsys, allocation):
+        # Beyond about 1e160 SciPy's beta quantile of the budget is NaN,
+        # which counts as none.
+        doc = copy.deepcopy(BUNDLED["three_arm"])
+        doc["design"]["allocation"] = allocation
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["design-unknown", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "leaves no precision budget" in err and "nan" not in err
+        assert not out.exists()
+
+    def test_prior_narrower_than_double_precision_is_known_precision(self, tmp_path, case_doc):
+        # Gamma(1e40, 4.9e41) pins the precision at 1/49 = 1/sd**2.
+        case_doc["precision_prior"].update(alpha=1e40, beta=4.9e41)
+        cfg = write_config(tmp_path, case_doc)
+        sizes = {}
+        for command in ("design-unknown", "design-known"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
+            sizes[command] = [r[2] for r in csv_rows(out / f"{command.replace('-', '_')}.csv") if r[0] == "n"]
+        assert sizes["design-unknown"] == sizes["design-known"] == ["64", "35", "35", "35", "35"]
+
 
 class TestAnalyze:
     def test_case_study_report(self, tmp_path):

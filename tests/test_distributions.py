@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr, stdtr
 
-from multiarm import _quad
 from multiarm.distributions import (
     EquicorrSpec,
     beta_quantile,
@@ -24,7 +23,7 @@ from multiarm.distributions import (
     normal_quantile,
     t_quantile,
 )
-from multiarm.exceptions import DomainError
+from multiarm.exceptions import DomainError, NumericError
 
 RHO_TWO = 1.0 / (1.0 + math.sqrt(2.0))
 
@@ -232,6 +231,18 @@ def test_quantile_beyond_the_old_root_tolerance():
     assert equicorr_max_cdf(spec, x, tol=1e-13) == pytest.approx(0.8, abs=1e-13)
 
 
+def test_quantile_is_a_root_of_the_refined_cdf():
+    # A Newton solve on one fixed rule returned 0.019423842624422562 here,
+    # where that rule's own estimate missed tol and the refined CDF cannot
+    # be had: the solve must raise or return a root of the refined CDF.
+    spec = EquicorrSpec(7, 0.9998043553480189, 9.359427614437985)
+    try:
+        x = equicorr_max_quantile(spec, 0.5)
+    except NumericError:
+        return
+    assert equicorr_max_cdf(spec, x) == pytest.approx(0.5, abs=1e-10)
+
+
 @pytest.mark.parametrize("df", [math.inf, 12.0])
 def test_quantile_ignores_its_start(df):
     spec = EquicorrSpec(5, 0.4, df)
@@ -244,9 +255,8 @@ def test_quantile_ignores_its_start(df):
 @pytest.mark.parametrize("k,rho,x", [(3, 0.4, 1.2), (6, 0.8, 0.3), (2, 0.1, -0.5)])
 def test_density_matches_central_difference(k, rho, df, x):
     spec = EquicorrSpec(k, rho, df)
-    cdf, pdf, nodes = equicorr_max_cdf(spec, x, density=True)
+    cdf, pdf = equicorr_max_cdf(spec, x, density=True)
     assert cdf == pytest.approx(equicorr_max_cdf(spec, x), abs=1e-15)
-    assert nodes in _quad._LEVELS
     h = 1e-4
     central = (equicorr_max_cdf(spec, x + h, tol=1e-13) - equicorr_max_cdf(spec, x - h, tol=1e-13)) / (2 * h)
     assert pdf == pytest.approx(central, abs=1e-8)
@@ -255,10 +265,9 @@ def test_density_matches_central_difference(k, rho, df, x):
 @pytest.mark.parametrize("df", [math.inf, 0.5, 7.0, 1e6])
 def test_density_closed_forms(df):
     for x in (-2.0, 0.3, 1.7):
-        cdf, pdf, nodes = equicorr_max_cdf(EquicorrSpec(1, 0.6, df), x, density=True)
-        assert nodes is None
+        cdf, pdf = equicorr_max_cdf(EquicorrSpec(1, 0.6, df), x, density=True)
         assert pdf == pytest.approx(stats.t.pdf(x, df) if math.isfinite(df) else stats.norm.pdf(x), rel=1e-12)
     for x in (-2.0, 0.3, 1.7):
-        _, pdf, _ = equicorr_max_cdf(EquicorrSpec(4, 0.0), x, density=True)
+        _, pdf = equicorr_max_cdf(EquicorrSpec(4, 0.0), x, density=True)
         assert pdf == pytest.approx(4.0 * stats.norm.pdf(x) * ndtr(x) ** 3, rel=1e-11)
-    assert equicorr_max_cdf(EquicorrSpec(3, 0.2, df), math.inf, density=True) == (1.0, 0.0, None)
+    assert equicorr_max_cdf(EquicorrSpec(3, 0.2, df), math.inf, density=True) == (1.0, 0.0)

@@ -129,7 +129,7 @@ def test_kernels_load_no_scipy_linalg():
         "import sys, numpy as np\n"
         "from multiarm import _quad\n"
         "_quad.normal_expect(np.array([0.5, 2.0]), np.array([0.3, -1.0]), tol=1e-10)\n"
-        "_quad.gamma_sqrt_expect(np.array([0.5, 2.0]), np.array([0.3, -1.0]), 3.0, 3.0, tol=1e-10)\n"
+        "_quad.gamma_sqrt_expect(np.array([0.5, 2.0]), np.array([0.3, -1.0]), 3.0, tol=1e-10)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
     )
     result = subprocess.run(

@@ -167,6 +167,15 @@ class TestProbAllBelow:
                 prob_all_below(case_summary, KnownPrecision(V), c), abs=1e-4
             )
 
+    def test_gamma_narrower_than_double_precision_is_known(self, case_summary):
+        # Shape 1e40: the log-precision domain rounds to a point, V = 1.
+        scale = 1e40 / V
+        point = GammaPrecision(alpha=V * scale, beta=scale)
+        for c in (0.0, 10.0, 15.0):
+            assert prob_all_below(case_summary, point, c) == pytest.approx(
+                prob_all_below(case_summary, KnownPrecision(point.mean), c), abs=1e-12
+            )
+
     @settings(max_examples=60, deadline=None)
     @given(
         log_alpha=st.floats(math.log(0.1), math.log(1e6)),

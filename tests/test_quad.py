@@ -12,7 +12,22 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, roots_legendre
 
 from multiarm import _quad
-from multiarm.exceptions import NumericError
+from multiarm.exceptions import DomainError, NumericError
+
+_SLOPES = np.array([0.4, 0.4, -1.1])
+_OFFSETS = np.array([0.7, 0.7, 1.3])
+# V ~ Gamma(3, 2) is 3/2 times the unit-mean Gamma(3, 3), so its mix at
+# offsets c is the unit-mean mix at c sqrt(3/2); the derivative, taken in
+# the scaled offsets, gains that factor back.
+_GAMMA_SCALE = math.sqrt(1.5)
+
+
+def _gamma_kernel(a, c, **kw):
+    out = _quad.gamma_sqrt_expect(a, c * _GAMMA_SCALE, 3.0, **kw)
+    return (out[0], out[1] * _GAMMA_SCALE) if kw.get("density") else out
+
+
+_KERNELS = {"normal": _quad.normal_expect, "gamma": _gamma_kernel}
 
 
 def _mp_jacobi_kronrod(n):
@@ -125,24 +140,45 @@ def test_log_gamma_domain_is_finite(shape):
 @pytest.mark.parametrize("shape", [0.1, 2.0, 1e6])
 def test_gamma_mix_has_unit_mass(shape):
     # Phi(0) everywhere: the normalised weights must return it exactly.
-    value = _quad.gamma_sqrt_expect(np.zeros(3), np.zeros(3), shape, 3.0, tol=1e-12)
+    value = _quad.gamma_sqrt_expect(np.zeros(3), np.zeros(3), shape, tol=1e-12)
     assert value == pytest.approx(0.125, abs=1e-15)
 
 
 def test_gamma_mix_repeated_arms_match_distinct_arms():
-    slopes = np.array([0.4, 0.4, -1.1])
-    offsets = np.array([0.7, 0.7, 1.3])
-    nudged = offsets + np.array([0.0, 1e-13, 0.0])
-    same = _quad.gamma_sqrt_expect(slopes, offsets, 3.0, 2.0, tol=1e-12)
-    distinct = _quad.gamma_sqrt_expect(slopes, nudged, 3.0, 2.0, tol=1e-12)
-    assert same == pytest.approx(distinct, abs=1e-12)
+    # Both kernels merge equal arms; a nudge keeps them apart.
+    nudged = _OFFSETS + np.array([0.0, 1e-13, 0.0])
+    for kernel in _KERNELS.values():
+        same = kernel(_SLOPES, _OFFSETS, tol=1e-12)
+        distinct = kernel(_SLOPES, nudged, tol=1e-12)
+        assert same == pytest.approx(distinct, abs=1e-12)
+
+
+def test_gamma_mix_takes_one_row():
+    one = _quad.gamma_sqrt_expect(_SLOPES, _OFFSETS, 3.0, tol=1e-12)
+    assert _quad.gamma_sqrt_expect(_SLOPES, _OFFSETS[None], 3.0, tol=1e-12) == one
+    with pytest.raises(DomainError, match="one row"):
+        _quad.gamma_sqrt_expect(_SLOPES, np.vstack([_OFFSETS, _OFFSETS]), 3.0, tol=1e-12)
+
+
+def test_gamma_mix_narrower_than_double_precision_is_the_normal_kernel():
+    # Shapes above about 1e35 leave a log-precision domain that rounds to
+    # a point: V = 1.
+    assert _quad._log_gamma_domain(1e40)[0] == _quad._log_gamma_domain(1e40)[1]
+    for density in (False, True):
+        gamma = _quad.gamma_sqrt_expect(_SLOPES, _OFFSETS, 1e40, tol=1e-12, density=density)
+        assert gamma == _quad.normal_expect(_SLOPES, _OFFSETS, tol=1e-12, density=density)
+
+
+def test_student_mix_says_so_in_its_errors():
+    with pytest.raises(NumericError, match=r"^joint shortfall probability \(Student\) did not reach"):
+        _quad.shared_control_expect(_SLOPES, _OFFSETS, 6.0, tol=1e-300, label="joint shortfall probability")
 
 
 def test_gamma_mix_without_shared_control_is_a_precision_average():
     # Slope 0 drops U: E[Phi(c sqrt(V))] with V ~ Gamma(1, 1) has the
     # closed form 1/2 + c / (2 sqrt(2 + c**2)).
     c = 0.8
-    value = _quad.gamma_sqrt_expect(np.zeros(1), np.full(1, c), 1.0, 1.0, tol=1e-12)
+    value = _quad.gamma_sqrt_expect(np.zeros(1), np.full(1, c), 1.0, tol=1e-12)
     assert value == pytest.approx(0.5 + c / (2.0 * math.sqrt(2.0 + c * c)), abs=1e-11)
 
 
@@ -182,41 +218,17 @@ def test_normal_expect_infinite_offsets():
         assert batch[0] == pytest.approx(1.0, abs=1e-12) and batch[1] == 0.0
 
 
-_SLOPES = np.array([0.4, 0.4, -1.1])
-_OFFSETS = np.array([0.7, 0.7, 1.3])
-_KERNELS = {
-    "normal": _quad.normal_expect,
-    "gamma": lambda a, c, **kw: _quad.gamma_sqrt_expect(a, c, 3.0, 2.0, **kw),
-}
-
-
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_density_is_the_common_offset_derivative(name):
     # Two distinct arms, one repeated: the product rule runs across arms
     # and the repeated arm's power. Central differences with h = 1e-4 are
     # good to about 1e-9.
     kernel = _KERNELS[name]
-    value, deriv, nodes = kernel(_SLOPES, _OFFSETS, tol=1e-12, density=True)
+    value, deriv = kernel(_SLOPES, _OFFSETS, tol=1e-12, density=True)
     assert value == pytest.approx(kernel(_SLOPES, _OFFSETS, tol=1e-12), abs=1e-15)
     h = 1e-4
     central = (kernel(_SLOPES, _OFFSETS + h, tol=1e-13) - kernel(_SLOPES, _OFFSETS - h, tol=1e-13)) / (2 * h)
     assert deriv == pytest.approx(central, abs=1e-8)
-    assert kernel(_SLOPES, _OFFSETS, tol=1e-12, density=True, nodes=nodes) == (value, deriv, nodes)
-
-
-@pytest.mark.parametrize("name", sorted(_KERNELS))
-def test_fixed_rule_is_one_evaluation(name, monkeypatch):
-    # One rule per axis at the fixed level, and the level comes back only
-    # when that one evaluation's own estimate meets tol.
-    kernel = _KERNELS[name]
-    rules, rule = [], _quad.legendre_rule
-    monkeypatch.setattr(_quad, "legendre_rule", lambda a, b, n: rules.append(n) or rule(a, b, n))
-    kernel(_SLOPES, _OFFSETS, tol=1e-12, nodes=128)
-    assert rules == [128] * (1 if name == "normal" else 2)
-    value, _, level = kernel(_SLOPES, _OFFSETS, tol=1e-12, density=True, nodes=64)
-    assert level == 64
-    assert value == pytest.approx(kernel(_SLOPES, _OFFSETS, tol=1e-13), abs=1e-12)
-    assert kernel(_SLOPES, _OFFSETS, tol=1e-300, density=True, nodes=64)[2] is None
 
 
 # Correlations up to 1 - 1e-9: slopes of -sqrt(rho / (1 - rho)) up to 3e4.
